@@ -232,7 +232,7 @@ def cmd_bench(manifest_path: str, defaults: RunConfig, jobs: int = 1,
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
     fields = ["case", "tlf", "algo", "status", "objective", "openings",
-              "structural_risk", "time_ms", "timestamp"]
+              "structural_risk", "time_ms"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
     writer.writeheader()
@@ -240,7 +240,6 @@ def cmd_bench(manifest_path: str, defaults: RunConfig, jobs: int = 1,
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             results = list(pool.map(lambda r: _bench_row(r, defaults), rows))
         for row, res in zip(rows, results):
-            res["timestamp"] = f"{time.time():.0f}"
             if res["status"] == "error":
                 print(f"row {row}: {res.get('error', 'failed')}", file=err)
             writer.writerow(res)

@@ -1,19 +1,25 @@
 """Linear-algebra security analysis: DC power flow, PTDF, rebalancing,
 violation detection, and the probability-weighted loss-of-load objective.
 
-Per-contingency evaluation follows the fast scheme: bridges of the closed
-graph mark the trips that change the energized topology and require a
-component re-solve with proportional rebalancing; every other single-branch
-trip is an outage-distribution update of the base factorization.
+Every single-branch trip is one product on the PTDF of the base topology. A
+trip that keeps the grid whole is an outage-distribution (LODF) update of
+the base flows. A bridge trip strands the island behind the bridge; after
+proportional rebalancing that island injects nothing, so neither it nor the
+bridge carries flow, and the post-trip flows are exactly the base PTDF times
+the rebalanced injections. The island is read off the bridge's PTDF row,
+which is +-1 behind the bridge and 0 on the reference side. A trip of more
+than one closed branch takes the general path: rebalance, then solve the DC
+power flow of the post-trip topology.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from . import graph_ops
 from .errors import DisconnectedCase, SingularSystem, UnbalanceableIsland
@@ -73,172 +79,75 @@ def _injection_vector(grid: Grid, injections) -> np.ndarray:
     return p
 
 
-class _Factorization:
-    """Cholesky factors of the reduced susceptance matrix of one closed topology.
+def _closed_indexes(grid: Grid, closed) -> np.ndarray:
+    return np.array(sorted(grid.branch_index(e) for e in closed), dtype=int)
 
-    Disconnected topologies are supported by pinning one angle per component
-    (the reference bus in its own component); the PTDF view requires a
-    connected topology and is only built for base configurations.
+
+def _laplacian(grid: Grid, ks: np.ndarray) -> np.ndarray:
+    """Dense bus susceptance matrix of the branches with indexes ``ks``."""
+    o, d, b = grid.origin_idx[ks], grid.dest_idx[ks], grid.susceptance[ks]
+    lap = np.zeros((grid.n_buses, grid.n_buses))
+    np.add.at(lap, (o, o), b)
+    np.add.at(lap, (d, d), b)
+    np.add.at(lap, (o, d), -b)
+    np.add.at(lap, (d, o), -b)
+    return lap
+
+
+def _ptdf(grid: Grid, ks: np.ndarray) -> np.ndarray:
+    """Dense branch x bus PTDF of the connected subgraph of branches ``ks``.
+
+    The reference column is zero, and so are the rows of the other branches.
     """
-
-    def __init__(self, grid: Grid, closed: frozenset[int]):
-        self.closed = closed
-        self.closed_list = sorted(closed, key=grid.branch_index)
-        self.k_idx = np.array([grid.branch_index(e) for e in self.closed_list], dtype=int)
-        self.o_idx = grid.origin_idx[self.k_idx]
-        self.d_idx = grid.dest_idx[self.k_idx]
-        self.b = grid.susceptance[self.k_idx]
-        n = grid.n_buses
-
-        lap = np.zeros((n, n))
-        np.add.at(lap, (self.o_idx, self.o_idx), self.b)
-        np.add.at(lap, (self.d_idx, self.d_idx), self.b)
-        np.add.at(lap, (self.o_idx, self.d_idx), -self.b)
-        np.add.at(lap, (self.d_idx, self.o_idx), -self.b)
-
-        comps = _components(grid, closed)
-        self.connected = len(comps) == 1
-        pinned = set()
-        for comp in comps:
-            pinned.add(grid.ref_idx if grid.ref_idx in comp else min(comp))
-        self.keep = np.array([i for i in range(n) if i not in pinned], dtype=int)
-        self.ref = grid.ref_idx
-        try:
-            if len(self.keep):
-                self.chol = scipy.linalg.cho_factor(lap[np.ix_(self.keep, self.keep)])
-            else:
-                self.chol = None
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
-        self.n = n
-        self.m = grid.n_branches
-        self._ptdf = None
-        self._outage_m = None
-
-    def angles(self, p: np.ndarray) -> np.ndarray:
-        """Bus angles with one pinned angle per component (theta = -L^-1 p)."""
-        theta = np.zeros(self.n)
-        if self.chol is not None:
-            theta[self.keep] = scipy.linalg.cho_solve(self.chol, -p[self.keep])
-        return theta
-
-    def flows(self, p: np.ndarray) -> np.ndarray:
-        """Flows on all grid branches (zero where open)."""
-        theta = self.angles(p)
-        f = np.zeros(self.m)
-        f[self.k_idx] = self.b * (theta[self.d_idx] - theta[self.o_idx])
-        return f
-
-    def ptdf(self) -> np.ndarray:
-        """Dense branch x bus sensitivity matrix, reference column zero."""
-        if not self.connected:
-            raise SingularSystem("PTDF requires a connected closed subgraph")
-        if self._ptdf is None:
-            nred = len(self.keep)
-            rhs = np.zeros((nred, len(self.k_idx)))
-            pos = {int(i): j for j, i in enumerate(self.keep)}
-            for col, (o, d, b) in enumerate(zip(self.o_idx, self.d_idx, self.b)):
-                if int(o) in pos:
-                    rhs[pos[int(o)], col] += b
-                if int(d) in pos:
-                    rhs[pos[int(d)], col] -= b
-            x = scipy.linalg.cho_solve(self.chol, rhs)  # nred x m_closed
-            ptdf = np.zeros((self.m, self.n))
-            ptdf[np.ix_(self.k_idx, self.keep)] = x.T
-            self._ptdf = ptdf
-        return self._ptdf
-
-    def outage_matrix(self) -> np.ndarray:
-        """M[l, t] = flow induced on l by a unit o(t)->d(t) injection pair."""
-        if self._outage_m is None:
-            ptdf = self.ptdf()
-            self._outage_m = ptdf[:, self.o_idx] - ptdf[:, self.d_idx]
-        return self._outage_m
-
-
-class _FactorizationCache:
-    """LRU cache of topology factorizations; safe under the usual single-writer use."""
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = maxsize
-        self._store: OrderedDict[frozenset, _Factorization] = OrderedDict()
-
-    def get(self, grid: Grid, closed: frozenset[int]) -> _Factorization:
-        fact = self._store.get(closed)
-        if fact is None:
-            fact = _Factorization(grid, closed)
-            self._store[closed] = fact
-            while len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-        else:
-            self._store.move_to_end(closed)
-        return fact
-
-
-def _components(grid: Grid, closed) -> list[set[int]]:
-    adj = graph_ops._adjacency(grid, closed)
-    seen = [False] * grid.n_buses
-    comps = []
-    for start in range(grid.n_buses):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, _ in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.add(j)
-                    stack.append(j)
-        comps.append(comp)
-    return comps
+    keep = np.delete(np.arange(grid.n_buses), grid.ref_idx)
+    try:
+        chol = scipy.linalg.cho_factor(_laplacian(grid, ks)[np.ix_(keep, keep)])
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+    cols = np.arange(len(ks))
+    incidence = np.zeros((grid.n_buses, len(ks)))  # susceptance-weighted
+    incidence[grid.origin_idx[ks], cols] = grid.susceptance[ks]
+    incidence[grid.dest_idx[ks], cols] = -grid.susceptance[ks]
+    ptdf = np.zeros((grid.n_branches, grid.n_buses))
+    ptdf[np.ix_(ks, keep)] = scipy.linalg.cho_solve(chol, incidence[keep]).T
+    return ptdf
 
 
 def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
     """Solve the DC power flow on the subgraph of closed branches.
 
-    Each connected component is solved independently with one pinned angle
-    (the reference bus in its own component). Injections must balance within
-    every component.
+    Each connected component has one pinned angle: the reference bus in its
+    own component, the lowest-index bus elsewhere. Injections must balance
+    within every component.
     """
     p = _injection_vector(grid, injections)
-    closed = frozenset(closed_branches)
-    theta = np.zeros(grid.n_buses)
-    for comp in _components(grid, closed):
-        idx = np.array(sorted(comp), dtype=int)
-        total = float(p[idx].sum())
-        if abs(total) > 1e-9 * max(1.0, float(np.abs(p).sum())):
-            raise ValueError(f"injections unbalanced by {total:.3e} in component {sorted(comp)}")
-        if len(idx) == 1:
-            continue
-        pin = grid.ref_idx if grid.ref_idx in comp else int(idx[0])
-        keep = np.array([i for i in idx if i != pin], dtype=int)
-        ks = [grid.branch_index(e) for e in closed
-              if int(grid.origin_idx[grid.branch_index(e)]) in comp]
-        ks = np.array(sorted(set(ks)), dtype=int)
-        o, d, b = grid.origin_idx[ks], grid.dest_idx[ks], grid.susceptance[ks]
-        lap = np.zeros((grid.n_buses, grid.n_buses))
-        np.add.at(lap, (o, o), b)
-        np.add.at(lap, (d, d), b)
-        np.add.at(lap, (o, d), -b)
-        np.add.at(lap, (d, o), -b)
+    ks = _closed_indexes(grid, frozenset(closed_branches))
+    n = grid.n_buses
+    adjacency = scipy.sparse.coo_matrix(
+        (np.ones(len(ks)), (grid.origin_idx[ks], grid.dest_idx[ks])), shape=(n, n))
+    n_comp, labels = connected_components(adjacency, directed=False)
+    imbalance = np.bincount(labels, weights=p, minlength=n_comp)
+    bad = np.flatnonzero(np.abs(imbalance) > 1e-9 * max(1.0, float(np.abs(p).sum())))
+    if bad.size:
+        ids = grid.bus_ids()
+        buses = [ids[i] for i in np.flatnonzero(labels == bad[0])]
+        raise ValueError(f"injections unbalanced by {imbalance[bad[0]]:.3e} "
+                         f"in the component of buses {buses}")
+    _, pins = np.unique(labels, return_index=True)
+    pins[labels[grid.ref_idx]] = grid.ref_idx
+    keep = np.setdiff1d(np.arange(n), pins)
+    theta = np.zeros(n)
+    if keep.size:
         try:
             theta[keep] = scipy.linalg.solve(
-                lap[np.ix_(keep, keep)], -p[keep], assume_a="pos")
+                _laplacian(grid, ks)[np.ix_(keep, keep)], -p[keep], assume_a="pos")
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(str(exc)) from None
 
-    flows = {}
-    for e in grid.branches:
-        if e.id in closed:
-            k = grid.branch_index(e.id)
-            flows[e.id] = float(grid.susceptance[k]
-                                * (theta[grid.dest_idx[k]] - theta[grid.origin_idx[k]]))
-        else:
-            flows[e.id] = 0.0
-    angles = {b.id: float(theta[grid.bus_index(b.id)]) for b in grid.buses}
+    f = np.zeros(grid.n_branches)
+    f[ks] = grid.susceptance[ks] * (theta[grid.dest_idx[ks]] - theta[grid.origin_idx[ks]])
+    flows = {e.id: float(f[k]) for k, e in enumerate(grid.branches)}
+    angles = {b.id: float(theta[i]) for i, b in enumerate(grid.buses)}
     return FlowState(angles=angles, flows=flows)
 
 
@@ -248,7 +157,22 @@ def ptdf_matrix(grid: Grid, closed_branches) -> np.ndarray:
     ens = graph_ops.energized_component(grid, closed)
     if ens.de_energized:
         raise DisconnectedCase("closed subgraph is not connected")
-    return _Factorization(grid, closed).ptdf()
+    return _ptdf(grid, _closed_indexes(grid, closed))
+
+
+def _rescale(grid: Grid, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proportional rebalance of each energized-bus mask (bus x case) in ``on``.
+
+    Returns per case the generation factor sigma, the loss of load, and
+    whether the energized area can be balanced at all (it has generation,
+    or it has no load).
+    """
+    load_on = grid.pd @ on
+    gen_on = grid.pg @ on
+    sigma = np.divide(load_on, gen_on, out=np.zeros_like(load_on), where=gen_on > 0.0)
+    loss = grid.pd.sum() - load_on
+    loss[np.abs(loss) < 1e-12] = 0.0  # subtraction dust when only zero-load buses are lost
+    return sigma, loss, (gen_on > 0.0) | (load_on <= 0.0)
 
 
 def rebalance(grid: Grid, energized: EnergizedSet) -> RebalanceResult:
@@ -256,21 +180,14 @@ def rebalance(grid: Grid, energized: EnergizedSet) -> RebalanceResult:
     on = energized.energized
     if grid.reference_bus not in on:
         raise ValueError("energized set must contain the reference bus")
-    idx = np.array([grid.bus_index(i) for i in sorted(on)], dtype=int)
-    load_on = float(grid.pd[idx].sum())
-    gen_on = float(grid.pg[idx].sum())
-    if gen_on <= 0.0:
-        if load_on > 0.0:
-            raise UnbalanceableIsland(load_on, buses=on)
-        sigma = 0.0
-    else:
-        sigma = load_on / gen_on
-    pg = {b.id: (sigma * b.pg_ref if b.id in on else 0.0) for b in grid.buses}
+    mask = np.array([b.id in on for b in grid.buses])
+    sigma, loss, balanced = _rescale(grid, mask[:, None])
+    if not balanced[0]:
+        raise UnbalanceableIsland(float(grid.pd[mask].sum()), buses=on)
+    s = float(sigma[0])
+    pg = {b.id: (s * b.pg_ref if b.id in on else 0.0) for b in grid.buses}
     pd = {b.id: (b.pd_ref if b.id in on else 0.0) for b in grid.buses}
-    ll = float(grid.pd.sum()) - load_on
-    if abs(ll) < 1e-12:  # subtraction dust when only zero-load buses are lost
-        ll = 0.0
-    return RebalanceResult(sigma=sigma, pg=pg, pd=pd, loss_of_load=ll)
+    return RebalanceResult(sigma=s, pg=pg, pd=pd, loss_of_load=float(loss[0]))
 
 
 @dataclass(frozen=True)
@@ -284,11 +201,22 @@ class ContingencyState:
     unbalanceable: bool = False
 
 
+@dataclass(frozen=True)
+class _Topology:
+    """A connected base topology and what N-1 screening needs of it."""
+
+    closed: frozenset[int]
+    ptdf: np.ndarray
+    flows: np.ndarray  # base flows by branch index
+    bridge: np.ndarray  # by branch index: its trip strands an island
+
+
 class SecurityAnalyzer:
     """Reusable N-1 screening engine for one grid and contingency set.
 
-    Holds the per-topology factorization cache, so repeated analyses across
-    heuristic iterations only pay for genuinely new topologies.
+    Keeps the PTDF, base flows and bridges of the last base topology it was
+    asked about, so an analysis and the per-contingency queries that follow
+    on the same configuration build them once.
     """
 
     def __init__(self, grid: Grid, contingencies: ContingencySet,
@@ -296,50 +224,71 @@ class SecurityAnalyzer:
         self.grid = grid
         self.contingencies = contingencies
         self.tolerance = tolerance
-        self.cache = _FactorizationCache()
         self._all = frozenset(grid.branch_ids())
+        self._bus_ids = grid.bus_ids()
+        self._last: _Topology | None = None
 
     def base_injections(self) -> np.ndarray:
         return self.grid.pg - self.grid.pd
 
-    def contingency_state(self, config: SwitchConfig, contingency: Contingency | None,
-                          base_fact: _Factorization | None = None,
-                          base_flows: np.ndarray | None = None,
-                          bridges: frozenset[int] | None = None) -> ContingencyState:
-        """Operating point after a contingency, with the fast LODF path when valid."""
+    def _topology(self, config: SwitchConfig) -> _Topology:
+        closed = self._all - config.open_branches
+        if self._last is not None and self._last.closed == closed:
+            return self._last
         grid = self.grid
-        closed0 = self._all - config.open_branches
-        if base_fact is None:
-            base_fact = self.cache.get(grid, closed0)
-        if base_flows is None:
-            base_flows = base_fact.flows(self.base_injections())
+        ens = graph_ops.energized_component(grid, closed)
+        if ens.de_energized:
+            raise DisconnectedCase(
+                f"base configuration disconnects buses {sorted(ens.de_energized)}")
+        ptdf = _ptdf(grid, _closed_indexes(grid, closed))
+        bridge = np.zeros(grid.n_branches, dtype=bool)
+        bridge[[grid.branch_index(e) for e in graph_ops.find_bridges(grid, closed)]] = True
+        self._last = _Topology(closed=closed, ptdf=ptdf,
+                               flows=ptdf @ self.base_injections(), bridge=bridge)
+        return self._last
 
-        if contingency is None:
-            return ContingencyState(sigma=1.0, loss_of_load=0.0,
-                                    flows=base_flows, de_energized=frozenset())
+    def _single_trips(self, base: _Topology,
+                      ks: np.ndarray) -> tuple[np.ndarray, list[ContingencyState]]:
+        """States after tripping, on its own, each closed branch of index ``ks[j]``.
 
-        live_trips = contingency.tripped & closed0
-        if not live_trips:
-            # tripping already-open branches changes nothing
-            return ContingencyState(sigma=1.0, loss_of_load=0.0,
-                                    flows=base_flows, de_energized=frozenset())
+        Returns the post-trip flows, one column per trip, and the states,
+        whose flows are those columns.
+        """
+        grid, ptdf, f = self.grid, base.ptdf, base.flows
+        cols = np.arange(len(ks))
+        post = np.empty((grid.n_branches, len(ks)))
+        bridge = base.bridge[ks]
 
-        if bridges is None:
-            bridges = graph_ops.find_bridges(grid, closed0)
+        # the grid stays whole: outage-distribution update of the base flows
+        k = ks[~bridge]
+        m = ptdf[:, grid.origin_idx[k]] - ptdf[:, grid.dest_idx[k]]
+        post[:, ~bridge] = f[:, None] + m * (f[k] / (1.0 - m[k, np.arange(len(k))]))
 
-        if len(live_trips) == 1 and not (live_trips & bridges):
-            t = next(iter(live_trips))
-            pos = base_fact.closed_list.index(t)
-            m_col = base_fact.outage_matrix()[:, pos]
-            denom = 1.0 - base_fact.outage_matrix()[base_fact.k_idx[pos], pos]
-            flows = base_flows + m_col * (base_flows[base_fact.k_idx[pos]] / denom)
-            flows = flows.copy()
-            flows[base_fact.k_idx[pos]] = 0.0
-            return ContingencyState(sigma=1.0, loss_of_load=0.0,
-                                    flows=flows, de_energized=frozenset())
+        # the buses behind a bridge, where its PTDF row is +-1, black out;
+        # rebalanced, they inject nothing, so the flows are a PTDF product
+        on = np.abs(ptdf[ks[bridge]].T) < 0.5  # bus x bridge trip
+        sigma, loss, balanced = _rescale(grid, on)
+        p = np.where(on & balanced, sigma * grid.pg[:, None] - grid.pd[:, None], 0.0)
+        post[:, bridge] = ptdf @ p
+        post[ks, cols] = 0.0
 
-        closed_c = closed0 - contingency.tripped
-        ens = graph_ops.energized_component(grid, closed_c)
+        states = [ContingencyState(sigma=1.0, loss_of_load=0.0, flows=post[:, j],
+                                   de_energized=frozenset()) for j in cols]
+        total_load = float(grid.pd.sum())
+        for i, j in enumerate(cols[bridge]):
+            states[j] = ContingencyState(
+                sigma=float(sigma[i]) if balanced[i] else 0.0,
+                loss_of_load=float(loss[i]) if balanced[i] else total_load,
+                flows=post[:, j],
+                de_energized=frozenset(self._bus_ids[b] for b in np.flatnonzero(~on[:, i])),
+                unbalanceable=not balanced[i])
+        return post, states
+
+    def _general_trip(self, base: _Topology, c: Contingency) -> ContingencyState:
+        """Trip of several closed branches: rebalance, then a DC power flow."""
+        grid = self.grid
+        closed = base.closed - c.tripped
+        ens = graph_ops.energized_component(grid, closed)
         try:
             reb = rebalance(grid, ens)
         except UnbalanceableIsland:
@@ -347,78 +296,65 @@ class SecurityAnalyzer:
             return ContingencyState(sigma=0.0, loss_of_load=float(grid.pd.sum()),
                                     flows=np.zeros(grid.n_branches),
                                     de_energized=ens.de_energized, unbalanceable=True)
-        p = np.zeros(grid.n_buses)
-        for b in grid.buses:
-            i = grid.bus_index(b.id)
-            p[i] = reb.pg[b.id] - reb.pd[b.id]
-        fact = self.cache.get(grid, closed_c)
-        flows = fact.flows(p)
+        state = dc_power_flow(grid, closed, {b: reb.pg[b] - reb.pd[b] for b in reb.pg})
         return ContingencyState(sigma=reb.sigma, loss_of_load=reb.loss_of_load,
-                                flows=flows, de_energized=ens.de_energized)
+                                flows=np.array([state.flows[e.id] for e in grid.branches]),
+                                de_energized=ens.de_energized)
+
+    def _state(self, base: _Topology, contingency: Contingency | None) -> ContingencyState:
+        live = contingency.tripped & base.closed if contingency is not None else ()
+        if not live:
+            # the base case, or a trip of branches that are open already
+            return ContingencyState(sigma=1.0, loss_of_load=0.0, flows=base.flows,
+                                    de_energized=frozenset())
+        if len(live) == 1:
+            ks = np.array([self.grid.branch_index(e) for e in live])
+            return self._single_trips(base, ks)[1][0]
+        return self._general_trip(base, contingency)
+
+    def contingency_state(self, config: SwitchConfig,
+                          contingency: Contingency | None) -> ContingencyState:
+        """Operating point of a connected configuration after a contingency."""
+        return self._state(self._topology(config), contingency)
 
     def analyze(self, config: SwitchConfig) -> SecurityReport:
         grid = self.grid
-        closed0 = self._all - config.open_branches
-        ens0 = graph_ops.energized_component(grid, closed0)
-        if ens0.de_energized:
-            raise DisconnectedCase(
-                f"base configuration disconnects buses {sorted(ens0.de_energized)}")
-
-        fact = self.cache.get(grid, closed0)
-        base_flows = fact.flows(self.base_injections())
-        bridges = graph_ops.find_bridges(grid, closed0)
-        limit = grid.limit
+        base = self._topology(config)
+        cases = self.contingencies.cases
+        live = [c.tripped & base.closed for c in cases]
+        single = [j for j, t in enumerate(live) if len(t) == 1]
+        ks = np.array([grid.branch_index(next(iter(live[j]))) for j in single], dtype=int)
+        post, trip_states = self._single_trips(base, ks)
+        states = dict(zip(single, trip_states))
+        # all single trips are screened at once; only flagged ones are read out
+        flagged = {single[j] for j in np.flatnonzero(
+            (np.abs(post) - grid.limit[:, None] > self.tolerance).any(axis=0))}
 
         violating: dict[int | None, ViolationDetail] = {}
         loss: dict[int, float] = {}
 
         def overloads(flows: np.ndarray) -> dict[int, float]:
-            over = np.abs(flows) - limit
-            hits = np.nonzero(over > self.tolerance)[0]
+            over = np.abs(flows) - grid.limit
+            hits = np.flatnonzero(over > self.tolerance)
             return {grid.branches[k].id: float(over[k]) for k in hits}
 
         if self.contingencies.include_base_case:
-            base_over = overloads(base_flows)
+            base_over = overloads(base.flows)
             if base_over:
                 violating[BASE_CASE] = ViolationDetail(
                     violated_branches=base_over, loss_of_load=0.0,
                     de_energized=frozenset())
 
-        # vectorized screen of all single-branch non-bridge trips
-        singles = [c for c in self.contingencies
-                   if len(c.tripped) == 1 and next(iter(c.tripped)) in closed0
-                   and not (c.tripped & bridges)]
-        if singles:
-            m_mat = fact.outage_matrix()
-            positions = {e: j for j, e in enumerate(fact.closed_list)}
-            cols = np.array([positions[next(iter(c.tripped))] for c in singles], dtype=int)
-            rows = fact.k_idx[cols]
-            denom = 1.0 - m_mat[rows, cols]
-            gain = base_flows[rows] / denom
-            post = base_flows[:, None] + m_mat[:, cols] * gain[None, :]
-            post[rows, np.arange(len(cols))] = 0.0
-            over_all = np.abs(post) - limit[:, None]
-            for j, c in enumerate(singles):
-                hits = np.nonzero(over_all[:, j] > self.tolerance)[0]
-                if hits.size:
-                    violating[c.id] = ViolationDetail(
-                        violated_branches={grid.branches[k].id: float(over_all[k, j])
-                                           for k in hits},
-                        loss_of_load=0.0, de_energized=frozenset())
-            handled = {c.id for c in singles}
-        else:
-            handled = set()
-
         objective = 0.0
-        for c in self.contingencies:
-            if c.id in handled:
-                continue
-            state = self.contingency_state(config, c, base_fact=fact,
-                                           base_flows=base_flows, bridges=bridges)
+        for j, c in enumerate(cases):
+            if j in states:
+                state, screen = states[j], j in flagged
+            else:
+                state, screen = self._state(base, c), True
             if state.loss_of_load > 1e-12:
                 loss[c.id] = state.loss_of_load
                 objective += c.probability * state.loss_of_load
-            over = overloads(state.flows)
+            over = overloads(state.flows) if screen else None
             if over:
                 violating[c.id] = ViolationDetail(
                     violated_branches=over, loss_of_load=state.loss_of_load,
@@ -430,7 +366,7 @@ class SecurityAnalyzer:
 
 def security_analysis(grid: Grid, config: SwitchConfig, contingencies: ContingencySet,
                       tolerance: float = DEFAULT_TOLERANCE) -> SecurityReport:
-    """One-shot security analysis; build a SecurityAnalyzer to amortize caching."""
+    """One-shot security analysis; a SecurityAnalyzer reuses its grid and contingencies."""
     return SecurityAnalyzer(grid, contingencies, tolerance).analyze(config)
 
 

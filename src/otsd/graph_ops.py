@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
+
 from .grid import Grid
 
 
@@ -43,19 +47,24 @@ def _adjacency(grid: Grid, closed_branches) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def energized_component(grid: Grid, closed_branches) -> EnergizedSet:
-    """Component of the reference bus in the subgraph of closed branches."""
+def _reachable(grid: Grid, closed_branches, start: int) -> set[int]:
+    """Bus indexes joined to bus index ``start`` by closed branches."""
     adj = _adjacency(grid, closed_branches)
-    seen = {grid.ref_idx}
-    stack = [grid.ref_idx]
+    seen = {start}
+    stack = [start]
     while stack:
         i = stack.pop()
         for j, _ in adj[i]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
+    return seen
+
+
+def energized_component(grid: Grid, closed_branches) -> EnergizedSet:
+    """Component of the reference bus in the subgraph of closed branches."""
     ids = grid.bus_ids()
-    energized = frozenset(ids[i] for i in seen)
+    energized = frozenset(ids[i] for i in _reachable(grid, closed_branches, grid.ref_idx))
     return EnergizedSet(
         energized=energized,
         de_energized=frozenset(ids) - energized,
@@ -115,18 +124,9 @@ def separating_cutset(grid: Grid, open_branches, bus: int) -> Cutset | None:
     """
     open_set = frozenset(open_branches)
     closed = [e for e in grid.branch_ids() if e not in open_set]
-    adj = _adjacency(grid, closed)
-    start = grid.bus_index(bus)
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        if i == grid.ref_idx:
-            return None
-        for j, _ in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
+    seen = _reachable(grid, closed, grid.bus_index(bus))
+    if grid.ref_idx in seen:
+        return None
 
     frontier = set()
     for e in grid.branches:
@@ -168,23 +168,13 @@ def hop(grid: Grid, branch: int, l: int) -> frozenset[int]:
 
 def line_graph_diameter(grid: Grid) -> int:
     """Eccentricity bound used to decide when hop saturation proves infeasibility."""
-    ids = grid.branch_ids()
-    best = 0
-    for e in ids:
-        dist = {e: 0}
-        frontier = [e]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for cur in frontier:
-                k = grid.branch_index(cur)
-                for i in (int(grid.origin_idx[k]), int(grid.dest_idx[k])):
-                    for other in grid.incident[i]:
-                        oid = grid.branches[other].id
-                        if oid not in dist:
-                            dist[oid] = d
-                            nxt.append(oid)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
+    m = grid.n_branches
+    # branch x bus incidence; two branches are adjacent when they share a bus
+    incidence = scipy.sparse.csr_matrix(
+        (np.ones(2 * m), (np.tile(np.arange(m), 2),
+                          np.concatenate([grid.origin_idx, grid.dest_idx]))),
+        shape=(m, grid.n_buses))
+    line_graph = incidence @ incidence.T
+    line_graph.setdiag(0)
+    line_graph.eliminate_zeros()
+    return int(shortest_path(line_graph, directed=False, unweighted=True).max())

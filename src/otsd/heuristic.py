@@ -149,6 +149,14 @@ def solve(grid: Grid, contingencies: ContingencySet,
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
+    def solve_time_limit() -> float | None:
+        if deadline is None:
+            return params.per_solve_time_limit
+        remaining = max(0.0, deadline - time.monotonic())
+        if params.per_solve_time_limit is None:
+            return remaining
+        return min(params.per_solve_time_limit, remaining)
+
     def infeasible_status(residual: set[int | None]) -> SolveStatus:
         if BASE_CASE in residual:
             return SolveStatus.BASE_CASE_INFEASIBLE
@@ -192,7 +200,7 @@ def solve(grid: Grid, contingencies: ContingencySet,
             t = time.monotonic()
             rv = milp_model.reduce_violations(
                 grid, state.working, state.switchable, warm_start=warm_start,
-                backend_factory=factory, time_limit=params.per_solve_time_limit,
+                backend_factory=factory, time_limit=solve_time_limit(),
                 tolerance=params.tolerance, bigm=bigm)
             state.add_time("reduce_violations", time.monotonic() - t)
             if rv.status is Status.TIMEOUT or rv.config is None:
@@ -217,7 +225,7 @@ def solve(grid: Grid, contingencies: ContingencySet,
         t = time.monotonic()
         vsol = milp_model.remove_unnecessary_openings(
             grid, rv.config, state.working, backend_factory=factory, bigm=bigm,
-            time_limit=params.per_solve_time_limit)
+            time_limit=solve_time_limit())
         state.add_time("simplify", time.monotonic() - t)
         state.incumbent = vsol
         warm_start = None

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from . import graph_ops
 from .backend import ScipyHighsBackend, Status, default_backend_factory
+from .dc_engine import SecurityAnalyzer
 from .errors import DuplicateContingency
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
 from .results import SolveResult, SolveStatus
@@ -454,14 +455,13 @@ def solve_extensive(grid: Grid, contingencies: ContingencySet,
         return SolveResult(status=SolveStatus.TIMEOUT, timings_ms={"solve": elapsed})
 
     config = model.config_from_solution()
-    loss = {cid: model.ll_value(cid) for cid in model.ll}
-    objective = sum(model.contingencies[cid].probability * ll
-                    for cid, ll in loss.items())
+    # the objective is recomputed by the engine, free of the solver's float dust
+    report = SecurityAnalyzer(grid, contingencies).analyze(config)
     return SolveResult(
         status=SolveStatus.OPTIMAL if status is Status.OPTIMAL else SolveStatus.FEASIBLE,
-        config=config, objective=objective,
+        config=config, objective=report.total_objective,
         openings=sorted(config.open_branches),
-        loss_of_load={cid: ll for cid, ll in loss.items() if ll > 1e-12},
+        loss_of_load=dict(report.loss_of_load),
         timings_ms={"solve": elapsed},
     )
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -183,6 +184,22 @@ def test_bench_empty_manifest(tmp_path):
     code = cmd_bench(str(manifest), RunConfig(case=""), out=out)
     assert code == 0
     assert out.getvalue().strip().count("\n") == 0  # header only
+
+
+def test_bench_output_is_deterministic(tmp_path):
+    manifest = tmp_path / "one.csv"
+    manifest.write_text(f"case,tlf,algo\n{case_path('case14_ieee.m')},1.0,heuristic\n")
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert cmd_bench(str(manifest), RunConfig(case=""), out=out) == 0
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        for row in rows:
+            del row["time_ms"]
+        runs.append(rows)
+    assert runs[0] == runs[1]
+    assert list(runs[0][0]) == ["case", "tlf", "algo", "status", "objective",
+                                "openings", "structural_risk"]
 
 
 def test_main_entry_point(mini_case, capsys):

@@ -1,15 +1,16 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from otsd import dc_engine, graph_ops, n_minus_1_contingencies
+from otsd import dc_engine, graph_ops, n_minus_1_contingencies, oracle
 from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, ptdf_matrix, rebalance, structural_risk
 from otsd.errors import DisconnectedCase, UnbalanceableIsland
-from otsd.grid import Branch, Bus, ContingencySet, Grid, SwitchConfig
+from otsd.grid import Branch, Bus, Contingency, ContingencySet, Grid, SwitchConfig
 
-from conftest import ring_grid, toy_grid
+from conftest import random_connected_config, ring_grid, toy_grid
 
 
 def two_bus_grid():
@@ -243,3 +244,85 @@ def test_frontier_flows_are_zero_after_bridge_trip(grid57):
             if o_dead != d_dead:
                 k = grid57.branch_index(other.id)
                 assert abs(state.flows[k]) < 1e-12
+
+
+def test_contingency_state_rejects_disconnected_base():
+    grid = toy_grid()
+    analyzer = SecurityAnalyzer(grid, n_minus_1_contingencies(grid))
+    with pytest.raises(DisconnectedCase):
+        analyzer.contingency_state(SwitchConfig.with_open([4]), None)
+
+
+def _check_kirchhoff(grid, closed, on, flows, injection):
+    """KCL at every energized bus, zero flow on every branch touching a dead
+    bus, and KVL: angles grown along a search tree explain every live flow."""
+    live = [e for e in grid.branches if e.id in closed
+            and e.origin in on and e.destination in on]
+    for e in grid.branches:
+        if e.origin not in on or e.destination not in on or e.id not in closed:
+            assert abs(flows[e.id]) < 1e-12, e.id
+    for b in grid.buses:
+        if b.id in on:
+            net = (sum(flows[e.id] for e in live if e.origin == b.id)
+                   - sum(flows[e.id] for e in live if e.destination == b.id))
+            assert abs(net - injection[b.id]) < 1e-8, b.id
+    theta = {grid.reference_bus: 0.0}
+    grown = True
+    while grown:
+        grown = False
+        for e in live:
+            if (e.origin in theta) != (e.destination in theta):
+                if e.origin in theta:
+                    theta[e.destination] = theta[e.origin] + flows[e.id] / e.susceptance
+                else:
+                    theta[e.origin] = theta[e.destination] - flows[e.id] / e.susceptance
+                grown = True
+    assert set(theta) == set(on)
+    for e in live:
+        assert abs(flows[e.id] - e.susceptance * (theta[e.destination] - theta[e.origin])) < 1e-8
+
+
+def test_two_branch_trips_against_independent_checks(grid30):
+    rng = random.Random(23)
+    pairs = rng.sample(list(itertools.combinations(grid30.branch_ids(), 2)), 120)
+    cons = ContingencySet(cases=tuple(
+        Contingency(id=j, tripped=frozenset(pair), probability=0.5)
+        for j, pair in enumerate(pairs)))
+    analyzer = SecurityAnalyzer(grid30, cons)
+    total_load = sum(b.pd_ref for b in grid30.buses)
+    stranded = 0
+    for _ in range(5):
+        config = random_connected_config(grid30, rng)
+        report = analyzer.analyze(config)
+        expected_loss, violating = {}, set()
+        for c in cons:
+            state = analyzer.contingency_state(config, c)
+            closed = config.closed_set(grid30, c)
+            on = oracle.bfs_energized(grid30, closed, grid30.reference_bus)
+            assert state.de_energized == frozenset(grid30.bus_ids()) - on
+            load_on = sum(b.pd_ref for b in grid30.buses if b.id in on)
+            gen_on = sum(b.pg_ref for b in grid30.buses if b.id in on)
+            if gen_on <= 0.0 and load_on > 0.0:
+                assert state.unbalanceable
+                assert state.loss_of_load == pytest.approx(total_load, abs=1e-12)
+                expected_loss[c.id] = total_load
+                continue
+            sigma = load_on / gen_on if gen_on > 0.0 else 0.0
+            assert abs(state.sigma - sigma) < 1e-9
+            assert abs(state.loss_of_load - (total_load - load_on)) < 1e-9
+            if total_load - load_on > 1e-9:
+                expected_loss[c.id] = total_load - load_on
+                stranded += 1
+            flows = {e.id: float(state.flows[k]) for k, e in enumerate(grid30.branches)}
+            injection = {b.id: sigma * b.pg_ref - b.pd_ref for b in grid30.buses}
+            _check_kirchhoff(grid30, closed, on, flows, injection)
+            if any(abs(flows[e.id]) > e.thermal_limit + analyzer.tolerance
+                   for e in grid30.branches):
+                violating.add(c.id)
+        assert report.loss_of_load.keys() == expected_loss.keys()
+        for cid, ll in expected_loss.items():
+            assert report.loss_of_load[cid] == pytest.approx(ll, abs=1e-9)
+        assert report.total_objective == pytest.approx(
+            0.5 * sum(expected_loss.values()), abs=1e-9)
+        assert set(report.violating_contingencies) - {None} == violating
+    assert stranded > 0

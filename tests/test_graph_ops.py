@@ -179,3 +179,8 @@ def test_line_graph_diameter_toy():
     grid = toy_grid()
     # branch 1 to branch 4 requires two steps (1 -> 2or3 -> 4)
     assert graph_ops.line_graph_diameter(grid) == 2
+
+
+def test_line_graph_diameter_case118(grid118):
+    # value of an all-pairs breadth-first search over the line graph
+    assert graph_ops.line_graph_diameter(grid118) == 15

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from otsd import heuristic, n_minus_1_contingencies, oracle
@@ -7,7 +9,7 @@ from otsd.grid import Branch, Bus, Grid
 from otsd.heuristic import HeuristicParams, HeuristicState, expand_switchable, most_constraining
 from otsd.results import SolveStatus
 
-from conftest import toy_grid
+from conftest import load_grid, toy_grid
 
 
 def _report(details):
@@ -197,3 +199,13 @@ def test_residual_overload_non_increasing_within_inner_loop():
     assert by_outer, "expected at least one inner loop"
     for residuals in by_outer.values():
         assert all(b <= a + 1e-9 for a, b in zip(residuals, residuals[1:]))
+
+
+def test_global_time_limit_caps_inner_solves():
+    # 118@1.25 keeps the inner programs busy; with no per-solve limit set,
+    # the global limit alone must stop them
+    grid = load_grid("case118_ieee.m", tlf=1.25)
+    cons = n_minus_1_contingencies(grid)
+    t0 = time.monotonic()
+    heuristic.solve(grid, cons, HeuristicParams(time_limit=5.0))
+    assert time.monotonic() - t0 < 7.0

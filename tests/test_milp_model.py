@@ -6,7 +6,7 @@ import pytest
 
 from otsd import n_minus_1_contingencies, oracle
 from otsd.backend import Status
-from otsd.dc_engine import SecurityAnalyzer, dc_power_flow
+from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, structural_risk
 from otsd.errors import DuplicateContingency
 from otsd.grid import Branch, Bus, Contingency, ContingencySet, Grid, SwitchConfig
 from otsd.milp_model import (
@@ -21,7 +21,13 @@ from otsd.milp_model import (
 )
 from otsd.results import SolveStatus
 
-from conftest import balanced_island_grid, random_connected_config, six_bus_grid, toy_grid
+from conftest import (
+    balanced_island_grid,
+    load_grid,
+    random_connected_config,
+    six_bus_grid,
+    toy_grid,
+)
 
 
 def test_bigm_sigma_bound_formula(grid14):
@@ -278,3 +284,13 @@ def test_remove_unnecessary_openings_subset_property(grid30):
         working = [cons.by_id(rng.choice(list(grid30.branch_ids())))]
         out = remove_unnecessary_openings(grid30, config, working)
         assert out.open_branches <= config.open_branches
+
+
+def test_extensive_objective_not_below_structural_risk():
+    # summed from the program's loss-of-load variables, the objective of this
+    # instance carries solver dust below the bound (-2.7e-15)
+    grid = load_grid("case14_ieee.m", tlf=2.0)
+    cons = n_minus_1_contingencies(grid)
+    res = solve_extensive(grid, cons)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective >= structural_risk(grid, cons)
