@@ -5,6 +5,11 @@ binaries, linear constraints, a linear objective, warm starts, bound fixing,
 and a time-limited solve with status/value queries. The bundled adapter sits
 on ``scipy.optimize.milp`` (HiGHS).
 
+Variables and rows enter in blocks of numpy arrays: ``add_vars`` appends a
+range of columns with their bounds, ``add_rows`` a block of rows in
+coordinate (COO) form. The one-variable and one-row calls are the same path
+with a block of one.
+
 Determinism: HiGHS runs single-threaded here and is deterministic for a fixed
 model; the ``seed`` option is accepted for interface stability and has no
 effect. Warm starts are recorded but not forwarded because the scipy wrapper
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -36,33 +40,35 @@ class Status(enum.Enum):
         return self in (Status.OPTIMAL, Status.FEASIBLE)
 
 
-@dataclass
-class _Var:
-    lb: float
-    ub: float
-    binary: bool
-    name: str
-
-
-@dataclass
-class _Constraint:
-    coeffs: dict[int, float]
-    lb: float
-    ub: float
-    name: str
+def _stacked(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks as one array, which then replaces them in the list."""
+    if len(chunks) > 1:
+        chunks[:] = [np.concatenate(chunks)]
+    return chunks[0]
 
 
 class ScipyHighsBackend:
     """Incremental model builder solved through scipy's HiGHS interface.
 
-    The model is rebuilt in matrix form at each ``solve`` call, which keeps
-    the builder re-entrant after constraint additions and bound changes.
+    Column bounds, integrality and the rows (COO triples with global row
+    numbers, plus row bounds) are kept as lists of numpy chunks, one per
+    block added. ``solve`` stacks each list into one array and hands HiGHS
+    one CSC matrix with sorted indices, which keeps the builder re-entrant
+    after row additions and bound changes.
     """
 
     def __init__(self, time_limit: float | None = None, mip_rel_gap: float | None = None,
                  seed: int | None = None):
-        self._vars: list[_Var] = []
-        self._cons: list[_Constraint] = []
+        self._lb = [np.empty(0)]
+        self._ub = [np.empty(0)]
+        self._integrality = [np.empty(0, dtype=np.int64)]
+        self._rows = [np.empty(0, dtype=np.int64)]
+        self._cols = [np.empty(0, dtype=np.int64)]
+        self._vals = [np.empty(0)]
+        self._row_lb = [np.empty(0)]
+        self._row_ub = [np.empty(0)]
+        self._n_vars = 0
+        self._n_rows = 0
         self._obj: dict[int, float] = {}
         self._obj_const = 0.0
         self._sense = 1.0  # +1 minimize, -1 maximize
@@ -76,13 +82,46 @@ class ScipyHighsBackend:
 
     # -- construction ------------------------------------------------------
 
+    def add_vars(self, count: int, lb=-math.inf, ub=math.inf, binary: bool = False) -> range:
+        """Append ``count`` columns; ``lb``/``ub`` are scalars or arrays of that length."""
+        self._lb.append(np.full(count, lb, dtype=float))
+        self._ub.append(np.full(count, ub, dtype=float))
+        self._integrality.append(np.full(count, int(binary), dtype=np.int64))
+        start = self._n_vars
+        self._n_vars += count
+        return range(start, self._n_vars)
+
+    def add_rows(self, rows, cols, vals, lb, ub) -> range:
+        """Append a block of rows given as COO triples with block-local row numbers.
+
+        ``lb`` and ``ub`` broadcast against each other to one bound per row,
+        and two scalars make one row. Entries repeated at one (row, column)
+        are summed.
+        """
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=float)
+        (count,) = np.broadcast_shapes(np.shape(lb), np.shape(ub), (1,))
+        if not rows.shape == cols.shape == vals.shape == (rows.size,):
+            raise ValueError("rows, cols and vals must be 1-d and of one length")
+        if rows.size and (rows.min() < 0 or rows.max() >= count):
+            raise ValueError(f"row numbers must lie in [0, {count})")
+        if cols.size and (cols.min() < 0 or cols.max() >= self._n_vars):
+            raise ValueError(f"column numbers must lie in [0, {self._n_vars})")
+        self._rows.append(rows + self._n_rows)
+        self._cols.append(cols)
+        self._vals.append(vals)
+        self._row_lb.append(np.full(count, lb, dtype=float))
+        self._row_ub.append(np.full(count, ub, dtype=float))
+        start = self._n_rows
+        self._n_rows += count
+        return range(start, self._n_rows)
+
     def add_var(self, lb: float = -math.inf, ub: float = math.inf, name: str = "") -> int:
-        self._vars.append(_Var(lb, ub, binary=False, name=name))
-        return len(self._vars) - 1
+        return self.add_vars(1, lb, ub)[0]
 
     def add_binary(self, name: str = "") -> int:
-        self._vars.append(_Var(0.0, 1.0, binary=True, name=name))
-        return len(self._vars) - 1
+        return self.add_vars(1, 0.0, 1.0, binary=True)[0]
 
     def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float,
                        name: str = "") -> int:
@@ -94,8 +133,7 @@ class ScipyHighsBackend:
             lb, ub = rhs, rhs
         else:
             raise ValueError(f"unknown sense {sense!r}")
-        self._cons.append(_Constraint(dict(coeffs), lb, ub, name))
-        return len(self._cons) - 1
+        return self.add_rows([0] * len(coeffs), list(coeffs), list(coeffs.values()), lb, ub)[0]
 
     def set_objective(self, coeffs: dict[int, float], sense: str = "min",
                       constant: float = 0.0) -> None:
@@ -107,8 +145,8 @@ class ScipyHighsBackend:
         self._warm = dict(values)
 
     def set_bounds(self, var: int, lb: float, ub: float) -> None:
-        self._vars[var].lb = lb
-        self._vars[var].ub = ub
+        _stacked(self._lb)[var] = lb
+        _stacked(self._ub)[var] = ub
 
     def fix_var(self, var: int, value: float) -> None:
         self.set_bounds(var, value, value)
@@ -118,35 +156,28 @@ class ScipyHighsBackend:
 
     @property
     def n_vars(self) -> int:
-        return len(self._vars)
+        return self._n_vars
 
     @property
     def n_constraints(self) -> int:
-        return len(self._cons)
+        return self._n_rows
 
     # -- solving -----------------------------------------------------------
 
     def solve(self, time_limit: float | None = None) -> Status:
-        n = len(self._vars)
+        n = self._n_vars
         c = np.zeros(n)
-        for idx, coef in self._obj.items():
-            c[idx] = self._sense * coef
-        integrality = np.array([1 if v.binary else 0 for v in self._vars])
-        bounds = Bounds(np.array([v.lb for v in self._vars]),
-                        np.array([v.ub for v in self._vars]))
+        if self._obj:
+            c[list(self._obj)] = self._sense * np.array(list(self._obj.values()), dtype=float)
+        integrality = _stacked(self._integrality)
+        bounds = Bounds(_stacked(self._lb), _stacked(self._ub))
 
         constraints = []
-        if self._cons:
-            rows, cols, vals = [], [], []
-            for r, con in enumerate(self._cons):
-                for idx, coef in con.coeffs.items():
-                    rows.append(r)
-                    cols.append(idx)
-                    vals.append(coef)
-            a = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(len(self._cons), n))
-            constraints = [LinearConstraint(
-                a, np.array([con.lb for con in self._cons]),
-                np.array([con.ub for con in self._cons]))]
+        if self._n_rows:
+            a = scipy.sparse.csc_array(
+                (_stacked(self._vals), (_stacked(self._rows), _stacked(self._cols))),
+                shape=(self._n_rows, n))
+            constraints = [LinearConstraint(a, _stacked(self._row_lb), _stacked(self._row_ub))]
 
         options: dict = {}
         limit = time_limit if time_limit is not None else self.time_limit

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import graph_ops
 from .errors import DisconnectedCase, SingularSystem, UnbalanceableIsland
@@ -121,11 +119,11 @@ def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
     within every component.
     """
     p = _injection_vector(grid, injections)
-    ks = _closed_indexes(grid, frozenset(closed_branches))
+    closed = frozenset(closed_branches)
+    ks = _closed_indexes(grid, closed)
     n = grid.n_buses
-    adjacency = scipy.sparse.coo_matrix(
-        (np.ones(len(ks)), (grid.origin_idx[ks], grid.dest_idx[ks])), shape=(n, n))
-    n_comp, labels = connected_components(adjacency, directed=False)
+    labels = graph_ops.component_labels(grid, closed)
+    n_comp = int(labels.max()) + 1
     imbalance = np.bincount(labels, weights=p, minlength=n_comp)
     bad = np.flatnonzero(np.abs(imbalance) > 1e-9 * max(1.0, float(np.abs(p).sum())))
     if bad.size:
@@ -241,8 +239,11 @@ class SecurityAnalyzer:
             raise DisconnectedCase(
                 f"base configuration disconnects buses {sorted(ens.de_energized)}")
         ptdf = _ptdf(grid, _closed_indexes(grid, closed))
-        bridge = np.zeros(grid.n_branches, dtype=bool)
-        bridge[[grid.branch_index(e) for e in graph_ops.find_bridges(grid, closed)]] = True
+        # a closed branch is a bridge exactly when its self-sensitivity is 1
+        # (the LODF denominator vanishes); open branches have zero PTDF rows
+        arange = np.arange(grid.n_branches)
+        self_sens = ptdf[arange, grid.origin_idx] - ptdf[arange, grid.dest_idx]
+        bridge = 1.0 - self_sens < 1e-9
         self._last = _Topology(closed=closed, ptdf=ptdf,
                                flows=ptdf @ self.base_injections(), bridge=bridge)
         return self._last

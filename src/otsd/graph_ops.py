@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .grid import Grid
 
@@ -36,38 +36,26 @@ class Cutset:
     separated_bus: int
 
 
-def _adjacency(grid: Grid, closed_branches) -> list[list[tuple[int, int]]]:
-    """Bus index -> [(neighbor bus index, branch id)] over closed branches."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(grid.n_buses)]
-    for e in closed_branches:
-        k = grid.branch_index(e)
-        o, d = int(grid.origin_idx[k]), int(grid.dest_idx[k])
-        adj[o].append((d, e))
-        adj[d].append((o, e))
-    return adj
-
-
-def _reachable(grid: Grid, closed_branches, start: int) -> set[int]:
-    """Bus indexes joined to bus index ``start`` by closed branches."""
-    adj = _adjacency(grid, closed_branches)
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j, _ in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+def component_labels(grid: Grid, closed_branches) -> np.ndarray:
+    """Component label of every bus index in the subgraph of closed branches."""
+    ks = np.array([grid.branch_index(e) for e in closed_branches], dtype=int)
+    o, d, n = grid.origin_idx[ks], grid.dest_idx[ks], grid.n_buses
+    # origin -> destination adjacency, assembled in CSR form directly (half
+    # the cost of a COO conversion); its weak components are the bus components
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(o, minlength=n))))
+    adjacency = scipy.sparse.csr_array(
+        (np.ones(len(ks)), d[np.argsort(o, kind="stable")], indptr), shape=(n, n))
+    return connected_components(adjacency, connection="weak")[1]
 
 
 def energized_component(grid: Grid, closed_branches) -> EnergizedSet:
     """Component of the reference bus in the subgraph of closed branches."""
-    ids = grid.bus_ids()
-    energized = frozenset(ids[i] for i in _reachable(grid, closed_branches, grid.ref_idx))
+    labels = component_labels(grid, closed_branches)
+    on = labels == labels[grid.ref_idx]
+    ids = np.array(grid.bus_ids())
     return EnergizedSet(
-        energized=energized,
-        de_energized=frozenset(ids) - energized,
+        energized=frozenset(ids[on].tolist()),
+        de_energized=frozenset(ids[~on].tolist()),
     )
 
 
@@ -78,8 +66,13 @@ def find_bridges(grid: Grid, closed_branches) -> frozenset[int]:
     the branch id used to enter a vertex, so a double circuit is never a
     bridge. Disconnected closed subgraphs are processed per component.
     """
-    adj = _adjacency(grid, closed_branches)
     n = grid.n_buses
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # bus -> [(bus, branch id)]
+    for e in closed_branches:
+        k = grid.branch_index(e)
+        o, d = int(grid.origin_idx[k]), int(grid.dest_idx[k])
+        adj[o].append((d, e))
+        adj[d].append((o, e))
     disc = [-1] * n
     low = [0] * n
     bridges: set[int] = set()
@@ -123,19 +116,14 @@ def separating_cutset(grid: Grid, open_branches, bus: int) -> Cutset | None:
     certificate of the disconnection. None when the bus reaches the reference.
     """
     open_set = frozenset(open_branches)
-    closed = [e for e in grid.branch_ids() if e not in open_set]
-    seen = _reachable(grid, closed, grid.bus_index(bus))
-    if grid.ref_idx in seen:
+    labels = component_labels(grid, [e for e in grid.branch_ids() if e not in open_set])
+    own = labels[grid.bus_index(bus)]
+    if labels[grid.ref_idx] == own:
         return None
-
-    frontier = set()
-    for e in grid.branches:
-        k = grid.branch_index(e.id)
-        o_in = int(grid.origin_idx[k]) in seen
-        d_in = int(grid.dest_idx[k]) in seen
-        if o_in != d_in:
-            frontier.add(e.id)
-    return Cutset(branches=frozenset(frontier), separated_bus=bus)
+    inside = labels == own
+    frontier = np.flatnonzero(inside[grid.origin_idx] != inside[grid.dest_idx])
+    return Cutset(branches=frozenset(grid.branches[k].id for k in frontier),
+                  separated_bus=bus)
 
 
 def hop(grid: Grid, branch: int, l: int) -> frozenset[int]:

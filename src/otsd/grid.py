@@ -172,9 +172,6 @@ class Grid:
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
 
-    def branch_by_id(self, branch_id: int) -> Branch:
-        return self.branches[self._branch_pos[branch_id]]
-
     @property
     def total_load(self) -> float:
         return float(self.pd.sum())

@@ -137,8 +137,10 @@ def solve(grid: Grid, contingencies: ContingencySet,
     """Run the full loop from the all-closed configuration.
 
     Returns a feasible configuration verified by a final security analysis,
-    or an infeasibility/timeout status. True infeasibility is only claimed
-    when the hop ceiling saturates the line graph; otherwise the status says
+    or an infeasibility/timeout status. Hops grow only on the residual of an
+    optimal subproblem; one stopped at a limit with residual overload ends
+    the run in TIMEOUT. True infeasibility is only claimed when the hop
+    ceiling saturates the line graph; otherwise the status says
     infeasible-within-horizon.
     """
     params = params or HeuristicParams()
@@ -217,6 +219,9 @@ def solve(grid: Grid, contingencies: ContingencySet,
             })
             if not rv.residual:
                 break
+            if rv.status is not Status.OPTIMAL:
+                # a limit hit proves nothing about the residual: no hop growth
+                return _result(SolveStatus.TIMEOUT, state)
             new_viol = {case: set(branches) for case, branches in rv.overloads.items()}
             verdict = expand_switchable(grid, state, params, rv.residual, new_viol)
             if verdict == INFEASIBLE:

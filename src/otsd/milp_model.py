@@ -11,6 +11,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import graph_ops
 from .backend import ScipyHighsBackend, Status, default_backend_factory
 from .dc_engine import SecurityAnalyzer
@@ -83,12 +85,34 @@ def security_program_bounds(grid: Grid) -> BigMConfig:
     return BigMConfig(delta_theta_max=theta_span, sigma_max=sigma)
 
 
+def _spread(x, rows: np.ndarray) -> np.ndarray:
+    return x if isinstance(x, np.ndarray) else np.full(rows.shape, x)
+
+
+def _coo(*terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's COO triples from (row array, cols, vals) terms; scalars repeat."""
+    return (np.concatenate([r for r, _, _ in terms]),
+            np.concatenate([_spread(c, r) for r, c, _ in terms]),
+            np.concatenate([_spread(v, r) for r, _, v in terms]))
+
+
+def _interleave(count: int, *columns) -> np.ndarray:
+    """Row bounds of ``count`` groups of consecutive rows, one column per row of a group."""
+    out = np.empty((count, len(columns)))
+    for q, col in enumerate(columns):
+        out[:, q] = col
+    return out.ravel()
+
+
 class OtsdModel:
     """One backend model holding the base-case block and appended contingency blocks.
 
-    Variable registries map each model symbol to its (bus or branch) x case
-    index; contingency blocks are append-only and cutset constraints are
-    deduplicated through a registry.
+    Every variable group is one contiguous column range, and every block kind
+    (Ohm's law on/off rows, nodal balance, energization coupling, sigma*pi
+    products, thermal slacks, the connectivity certificate, loss of load,
+    cutsets) is one array call on the backend. Variable registries map each
+    model symbol to its (bus or branch) x case column; contingency blocks are
+    append-only and cutset constraints are deduplicated through a registry.
     """
 
     def __init__(self, grid: Grid, bigm: BigMConfig, backend: ScipyHighsBackend,
@@ -103,6 +127,7 @@ class OtsdModel:
         self.theta_bound = grid.n_buses * bigm.delta_theta_max
         self.sigma_max = bigm.sigma_bound(grid)
         self.virtual_bound = bigm.virtual_bound(grid)
+        self._big_m = grid.susceptance * bigm.delta_theta_max  # Ohm big-M by branch
 
         self.v: dict[int, int] = {}
         self.theta: dict[int | None, dict[int, int]] = {}
@@ -114,111 +139,87 @@ class OtsdModel:
         self.ll: dict[int, int] = {}
         self.ol: dict[int | None, dict[int, int]] = {}
         self.contingencies: dict[int, Contingency] = {}
-        self.thermal_mode: dict[int | None, str] = {}
         self._cutset_registry: set[tuple] = set()
-        self.cutset_constraints: list[tuple] = []
 
         self._build_base(base_thermal)
 
     # -- shared pieces -------------------------------------------------------
 
-    def _flow_bound(self, eid: int, thermal: str) -> float:
-        e = self.grid.branch_by_id(eid)
-        m_ohm = e.susceptance * self.bigm.delta_theta_max
-        if thermal == ENFORCE and not e.unlimited:
-            return min(m_ohm, e.thermal_limit)
-        return m_ohm
+    def _vars(self, keys, lb, ub, binary: bool = False) -> tuple[np.ndarray, dict]:
+        """Columns for ``keys``, as an array and as a key -> column registry."""
+        cols = self.backend.add_vars(len(keys), lb, ub, binary)
+        return np.asarray(cols), dict(zip(keys, cols))
 
-    def _add_ohm(self, case: int | None, eid: int) -> None:
+    def _angles(self, case: int | None) -> np.ndarray:
+        lb = np.full(self.grid.n_buses, -self.theta_bound)
+        ub = np.full(self.grid.n_buses, self.theta_bound)
+        lb[self.grid.ref_idx] = ub[self.grid.ref_idx] = 0.0
+        th, self.theta[case] = self._vars(self.grid.bus_ids(), lb, ub)
+        return th
+
+    def _flows(self, case: int | None, thermal: str, live: np.ndarray) -> np.ndarray:
+        """Flow columns; a tripped branch's flow is fixed at zero."""
+        bound = self._big_m
+        if thermal == ENFORCE:
+            bound = np.minimum(bound, self.grid.limit)
+        f, self.flow[case] = self._vars(self.grid.branch_ids(), np.where(live, -bound, 0.0),
+                                        np.where(live, bound, 0.0))
+        return f
+
+    def _add_ohm(self, live: np.ndarray, th: np.ndarray, f: np.ndarray) -> None:
         """Flow equals susceptance times angle difference when closed, else zero."""
-        grid, be = self.grid, self.backend
-        e = grid.branch_by_id(eid)
-        b = e.susceptance
-        m = b * self.bigm.delta_theta_max
-        tag = "base" if case is BASE_CASE else f"c{case}"
-        fvar = self.flow[case][eid]
-        tripped = case is not BASE_CASE and eid in self.contingencies[case].tripped
-        if tripped:
-            be.fix_var(fvar, 0.0)
-            return
-        vvar = self.v[eid]
-        th = self.theta[case]
-        o, d = e.origin, e.destination
-        be.add_constraint({fvar: 1.0, vvar: -m}, "<=", 0.0, f"ohm_ub_{tag}_{eid}")
-        be.add_constraint({fvar: 1.0, vvar: m}, ">=", 0.0, f"ohm_lb_{tag}_{eid}")
-        be.add_constraint({th[d]: b, th[o]: -b, fvar: -1.0, vvar: m}, "<=", m,
-                          f"ohm_eq_ub_{tag}_{eid}")
-        be.add_constraint({th[d]: b, th[o]: -b, fvar: -1.0, vvar: -m}, ">=", -m,
-                          f"ohm_eq_lb_{tag}_{eid}")
+        grid = self.grid
+        ks = np.flatnonzero(live)
+        b, m = grid.susceptance[ks], self._big_m[ks]
+        fk, vk = f[ks], self._v_cols[ks]
+        tho, thd = th[grid.origin_idx[ks]], th[grid.dest_idx[ks]]
+        r = 4 * np.arange(len(ks))
+        self.backend.add_rows(
+            *_coo((r, fk, 1.0), (r, vk, -m),
+                  (r + 1, fk, 1.0), (r + 1, vk, m),
+                  (r + 2, thd, b), (r + 2, tho, -b), (r + 2, fk, -1.0), (r + 2, vk, m),
+                  (r + 3, thd, b), (r + 3, tho, -b), (r + 3, fk, -1.0), (r + 3, vk, -m)),
+            _interleave(len(ks), -math.inf, 0.0, -math.inf, -m),
+            _interleave(len(ks), 0.0, math.inf, m, math.inf))
 
-    def _add_thermal(self, case: int | None, thermal: str) -> None:
+    def _add_thermal(self, case: int | None, thermal: str, live: np.ndarray,
+                     f: np.ndarray) -> None:
         if thermal != RELAX:
             return  # ENFORCE is handled through flow variable bounds
-        grid, be = self.grid, self.backend
-        tag = "base" if case is BASE_CASE else f"c{case}"
-        self.ol[case] = {}
-        for e in grid.branches:
-            if e.unlimited:
-                continue
-            if case is not BASE_CASE and e.id in self.contingencies[case].tripped:
-                continue
-            s = be.add_var(0.0, math.inf, f"ol_{tag}_{e.id}")
-            self.ol[case][e.id] = s
-            fvar = self.flow[case][e.id]
-            be.add_constraint({fvar: 1.0, s: -1.0}, "<=", e.thermal_limit,
-                              f"thermal_ub_{tag}_{e.id}")
-            be.add_constraint({fvar: 1.0, s: 1.0}, ">=", -e.thermal_limit,
-                              f"thermal_lb_{tag}_{e.id}")
+        grid = self.grid
+        ks = np.flatnonzero(live & np.isfinite(grid.limit))
+        s, self.ol[case] = self._vars([grid.branches[k].id for k in ks], 0.0, math.inf)
+        limit, r = grid.limit[ks], 2 * np.arange(len(ks))
+        self.backend.add_rows(
+            *_coo((r, f[ks], 1.0), (r, s, -1.0), (r + 1, f[ks], 1.0), (r + 1, s, 1.0)),
+            _interleave(len(ks), -math.inf, -limit), _interleave(len(ks), limit, math.inf))
 
     # -- base case -----------------------------------------------------------
 
     def _build_base(self, thermal: str) -> None:
         grid, be = self.grid, self.backend
-        self.thermal_mode[BASE_CASE] = thermal
-        for e in grid.branches:
-            self.v[e.id] = be.add_binary(f"v[{e.id}]")
-        self.theta[BASE_CASE] = {
-            b.id: be.add_var(-self.theta_bound, self.theta_bound, f"theta_base[{b.id}]")
-            for b in grid.buses}
-        be.fix_var(self.theta[BASE_CASE][grid.reference_bus], 0.0)
-        self.flow[BASE_CASE] = {
-            e.id: be.add_var(-self._flow_bound(e.id, thermal),
-                             self._flow_bound(e.id, thermal), f"f_base[{e.id}]")
-            for e in grid.branches}
-        for e in grid.branches:
-            self._add_ohm(BASE_CASE, e.id)
-
-        for b in grid.buses:
-            coeffs: dict[int, float] = {}
-            i = grid.bus_index(b.id)
-            for k in grid.in_branches[i]:
-                coeffs[self.flow[BASE_CASE][grid.branches[k].id]] = \
-                    coeffs.get(self.flow[BASE_CASE][grid.branches[k].id], 0.0) + 1.0
-            for k in grid.out_branches[i]:
-                coeffs[self.flow[BASE_CASE][grid.branches[k].id]] = \
-                    coeffs.get(self.flow[BASE_CASE][grid.branches[k].id], 0.0) - 1.0
-            be.add_constraint(coeffs, "==", b.pd_ref - b.pg_ref, f"kcl_base[{b.id}]")
-
-        self._add_thermal(BASE_CASE, thermal)
+        o, d = grid.origin_idx, grid.dest_idx
+        live = np.ones(grid.n_branches, dtype=bool)
+        self._v_cols, self.v = self._vars(grid.branch_ids(), 0.0, 1.0, binary=True)
+        th = self._angles(BASE_CASE)
+        f = self._flows(BASE_CASE, thermal, live)
+        self._add_ohm(live, th, f)
+        balance = grid.pd - grid.pg
+        be.add_rows(*_coo((d, f, 1.0), (o, f, -1.0)), balance, balance)
+        self._add_thermal(BASE_CASE, thermal, live, f)
 
         # single-commodity connectivity certificate: the reference sources
         # one unit for every other bus, each bus absorbs one
         big_v = self.virtual_bound
-        for e in grid.branches:
-            self.virt[e.id] = be.add_var(-big_v, big_v, f"cf[{e.id}]")
-            be.add_constraint({self.virt[e.id]: 1.0, self.v[e.id]: -big_v}, "<=", 0.0)
-            be.add_constraint({self.virt[e.id]: 1.0, self.v[e.id]: big_v}, ">=", 0.0)
-        for b in grid.buses:
-            i = grid.bus_index(b.id)
-            coeffs = {}
-            for k in grid.in_branches[i]:
-                vid = self.virt[grid.branches[k].id]
-                coeffs[vid] = coeffs.get(vid, 0.0) + 1.0
-            for k in grid.out_branches[i]:
-                vid = self.virt[grid.branches[k].id]
-                coeffs[vid] = coeffs.get(vid, 0.0) - 1.0
-            delta = 1.0 - grid.n_buses if b.id == grid.reference_bus else 1.0
-            be.add_constraint(coeffs, "==", delta, f"virt_kcl[{b.id}]")
+        cf, self.virt = self._vars(grid.branch_ids(), -big_v, big_v)
+        r = 2 * np.arange(grid.n_branches)
+        be.add_rows(*_coo((r, cf, 1.0), (r, self._v_cols, -big_v),
+                          (r + 1, cf, 1.0), (r + 1, self._v_cols, big_v)),
+                    _interleave(grid.n_branches, -math.inf, 0.0),
+                    _interleave(grid.n_branches, 0.0, math.inf))
+        delta = np.ones(grid.n_buses)
+        delta[grid.ref_idx] = 1.0 - grid.n_buses
+        be.add_rows(*_coo((d, cf, 1.0), (o, cf, -1.0)), delta, delta)
 
     # -- contingency blocks ----------------------------------------------------
 
@@ -226,72 +227,50 @@ class OtsdModel:
         if c.id in self.contingencies:
             raise DuplicateContingency(f"contingency {c.id} already instantiated")
         grid, be = self.grid, self.backend
+        o, d, n = grid.origin_idx, grid.dest_idx, grid.n_buses
         self.contingencies[c.id] = c
-        self.thermal_mode[c.id] = thermal
         cid = c.id
+        live = ~np.isin(grid.branch_ids(), list(c.tripped))
 
-        self.theta[cid] = {
-            b.id: be.add_var(-self.theta_bound, self.theta_bound, f"theta_c{cid}[{b.id}]")
-            for b in grid.buses}
-        be.fix_var(self.theta[cid][grid.reference_bus], 0.0)
-        self.flow[cid] = {
-            e.id: be.add_var(-self._flow_bound(e.id, thermal),
-                             self._flow_bound(e.id, thermal), f"f_c{cid}[{e.id}]")
-            for e in grid.branches}
-        self.pi[cid] = {b.id: be.add_var(0.0, 1.0, f"pi_c{cid}[{b.id}]")
-                        for b in grid.buses}
-        be.fix_var(self.pi[cid][grid.reference_bus], 1.0)
-        self.sigma[cid] = be.add_var(0.0, self.sigma_max, f"sigma_c{cid}")
+        th = self._angles(cid)
+        f = self._flows(cid, thermal, live)
+        # energization is fixed at 1 at the reference
+        pi, self.pi[cid] = self._vars(grid.bus_ids(), np.arange(n) == grid.ref_idx, 1.0)
+        sigma = self.sigma[cid] = be.add_var(0.0, self.sigma_max)
 
-        for e in grid.branches:
-            self._add_ohm(cid, e.id)
+        self._add_ohm(live, th, f)
 
         # energization coupling across closed, non-tripped branches
-        for e in grid.branches:
-            if e.id in c.tripped:
-                continue
-            po, pd_ = self.pi[cid][e.origin], self.pi[cid][e.destination]
-            be.add_constraint({po: 1.0, pd_: -1.0, self.v[e.id]: 1.0}, "<=", 1.0)
-            be.add_constraint({pd_: 1.0, po: -1.0, self.v[e.id]: 1.0}, "<=", 1.0)
+        ks = np.flatnonzero(live)
+        po, pd_, vk = pi[o[ks]], pi[d[ks]], self._v_cols[ks]
+        r = 2 * np.arange(len(ks))
+        be.add_rows(*_coo((r, po, 1.0), (r, pd_, -1.0), (r, vk, 1.0),
+                          (r + 1, pd_, 1.0), (r + 1, po, -1.0), (r + 1, vk, 1.0)),
+                    -math.inf, np.ones(2 * len(ks)))
 
         # sigma * pi products for generator buses
-        self.sig_pi[cid] = {}
-        for b in grid.buses:
-            if b.pg_ref <= 0:
-                continue
-            y = be.add_var(0.0, self.sigma_max, f"sigpi_c{cid}[{b.id}]")
-            self.sig_pi[cid][b.id] = y
-            pi_i = self.pi[cid][b.id]
-            be.add_constraint({y: 1.0, pi_i: -self.sigma_max}, "<=", 0.0)
-            be.add_constraint({self.sigma[cid]: 1.0, y: -1.0}, ">=", 0.0)
-            be.add_constraint({self.sigma[cid]: 1.0, y: -1.0, pi_i: self.sigma_max},
-                              "<=", self.sigma_max)
+        gen = np.flatnonzero(grid.pg > 0)
+        y, self.sig_pi[cid] = self._vars([grid.buses[i].id for i in gen], 0.0, self.sigma_max)
+        pig, smax, r = pi[gen], self.sigma_max, 3 * np.arange(len(gen))
+        be.add_rows(*_coo((r, y, 1.0), (r, pig, -smax),
+                          (r + 1, sigma, 1.0), (r + 1, y, -1.0),
+                          (r + 2, sigma, 1.0), (r + 2, y, -1.0), (r + 2, pig, smax)),
+                    _interleave(len(gen), -math.inf, 0.0, -math.inf),
+                    _interleave(len(gen), 0.0, math.inf, smax))
 
         # nodal balance with rescaled generation and served demand
-        for b in grid.buses:
-            i = grid.bus_index(b.id)
-            coeffs: dict[int, float] = {}
-            for k in grid.in_branches[i]:
-                fv = self.flow[cid][grid.branches[k].id]
-                coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
-            for k in grid.out_branches[i]:
-                fv = self.flow[cid][grid.branches[k].id]
-                coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
-            if b.pg_ref > 0:
-                coeffs[self.sig_pi[cid][b.id]] = b.pg_ref
-            if b.pd_ref > 0:
-                coeffs[self.pi[cid][b.id]] = -b.pd_ref
-            be.add_constraint(coeffs, "==", 0.0, f"kcl_c{cid}[{b.id}]")
+        load = np.flatnonzero(grid.pd > 0)
+        be.add_rows(*_coo((d, f, 1.0), (o, f, -1.0), (gen, y, grid.pg[gen]),
+                          (load, pi[load], -grid.pd[load])),
+                    np.zeros(n), np.zeros(n))
 
-        self._add_thermal(cid, thermal)
+        self._add_thermal(cid, thermal, live, f)
 
         total_pd = grid.total_load
-        self.ll[cid] = be.add_var(0.0, total_pd, f"ll_c{cid}")
-        coeffs = {self.ll[cid]: 1.0}
-        for b in grid.buses:
-            if b.pd_ref > 0:
-                coeffs[self.pi[cid][b.id]] = b.pd_ref
-        be.add_constraint(coeffs, "==", total_pd, f"ll_def_c{cid}")
+        self.ll[cid] = be.add_var(0.0, total_pd)
+        be.add_rows(*_coo((np.zeros(1, dtype=int), self.ll[cid], 1.0),
+                          (np.zeros(len(load), dtype=int), pi[load], grid.pd[load])),
+                    total_pd, total_pd)
 
     # -- configuration handling -------------------------------------------------
 
@@ -346,6 +325,9 @@ class OtsdModel:
         """
         grid, be = self.grid, self.backend
         added: list[tuple] = []
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
         v_vals = {eid: be.value(var) for eid, var in self.v.items()}
         for cid, c in self.contingencies.items():
             closed = {eid for eid, val in v_vals.items()
@@ -361,14 +343,15 @@ class OtsdModel:
                 key = (cid, bus, cut.branches)
                 if key in self._cutset_registry:
                     continue
-                coeffs = {self.pi[cid][bus]: 1.0}
-                for eid in cut.branches:
-                    if eid not in c.tripped:
-                        coeffs[self.v[eid]] = coeffs.get(self.v[eid], 0.0) - 1.0
-                be.add_constraint(coeffs, "<=", 0.0, f"cutset_c{cid}[{bus}]")
+                # pi[bus] <= sum of v over the cut's branches still in service
+                frontier = [self.v[eid] for eid in cut.branches if eid not in c.tripped]
+                rows += [len(added)] * (1 + len(frontier))
+                cols += [self.pi[cid][bus], *frontier]
+                vals += [1.0] + [-1.0] * len(frontier)
                 self._cutset_registry.add(key)
-                self.cutset_constraints.append(key)
                 added.append(key)
+        if added:
+            be.add_rows(rows, cols, vals, -math.inf, np.zeros(len(added)))
         return added
 
     def solve_with_separation(self, time_limit: float | None = None) -> Status:
@@ -421,16 +404,6 @@ def build_base_case(grid: Grid, bigm: BigMConfig | None = None,
     """Base-case block: switching binaries, DC flow, limits, connectivity flows."""
     return OtsdModel(grid, bigm or BigMConfig(),
                      backend or ScipyHighsBackend(), base_thermal=base_thermal)
-
-
-def add_contingency_block(model: OtsdModel, c: Contingency,
-                          enforce_thermal: bool = True) -> OtsdModel:
-    model.add_contingency_block(c, ENFORCE if enforce_thermal else OMIT)
-    return model
-
-
-def separate_cutsets(model: OtsdModel) -> list[tuple]:
-    return model.separate_cutsets()
 
 
 def solve_extensive(grid: Grid, contingencies: ContingencySet,

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from otsd import backend
 from otsd.backend import ScipyHighsBackend, Status
 
 
@@ -98,3 +100,74 @@ def test_deterministic_repeat_solves():
     first = run()
     for _ in range(3):
         assert run() == first
+
+
+def _recorded_model(monkeypatch, be):
+    """Solve ``be`` and return the arrays it handed to ``milp``."""
+    seen = {}
+    real = backend.milp
+
+    def record(**kwargs):
+        seen.update(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(backend, "milp", record)
+    status = be.solve()
+    (con,) = seen["constraints"]
+    return status, be.objective_value, {
+        "c": seen["c"], "integrality": seen["integrality"], "lb": seen["bounds"].lb,
+        "ub": seen["bounds"].ub, "A": con.A.toarray(), "row_lb": con.lb, "row_ub": con.ub}
+
+
+def test_bulk_rows_match_one_at_a_time(monkeypatch):
+    rows = [({0: 1, 1: 1, 3: -3}, "<=", 2), ({1: 1, 2: -1}, ">=", -1),
+            ({0: 1, 2: 1, 4: 2}, "==", 5)]
+
+    def build(bulk: bool):
+        be = ScipyHighsBackend()
+        assert be.add_vars(3, 0.0, [4.0, 5.0, 6.0]) == range(0, 3)
+        assert be.add_vars(2, 0.0, 1.0, binary=True) == range(3, 5)
+        if bulk:
+            be.add_rows([0, 0, 0, 1, 1, 2, 2, 2], [0, 1, 3, 1, 2, 0, 2, 4],
+                        [1, 1, -3, 1, -1, 1, 1, 2], [-math.inf, -1, 5], [2, math.inf, 5])
+        else:
+            for coeffs, sense, rhs in rows:
+                be.add_constraint(coeffs, sense, rhs)
+        be.set_objective({0: -1, 1: -2, 2: -1, 3: 1, 4: 1})
+        return _recorded_model(monkeypatch, be)
+
+    bulk, single = build(True), build(False)
+    assert bulk[:2] == single[:2]
+    assert bulk[0] is Status.OPTIMAL
+    for key, arr in single[2].items():
+        np.testing.assert_array_equal(bulk[2][key], arr, err_msg=key)
+
+
+def test_bulk_additions_after_solve_reentrant():
+    be = ScipyHighsBackend()
+    x = be.add_vars(2, 0.0, 10.0)
+    be.set_objective({x[0]: -1, x[1]: -1})
+    assert be.solve() is Status.OPTIMAL
+    assert be.objective_value == pytest.approx(-20.0)
+    be.add_rows([0, 0, 1], [x[0], x[1], x[1]], [1, 1, 1], -math.inf, [8, 3])
+    be.solve()
+    assert be.objective_value == pytest.approx(-8.0)
+    assert be.value(x[1]) <= 3 + 1e-9
+    (y,) = be.add_vars(1, 0.0, 1.0, binary=True)
+    be.add_rows([0, 0], [x[0], y], [1, -5], -math.inf, 0.0)  # x0 <= 5 y
+    be.set_objective({x[0]: -1, x[1]: -1, y: 1})
+    be.solve()
+    assert be.objective_value == pytest.approx(-7.0)
+    be.fix_var(y, 0.0)
+    be.solve()
+    assert be.objective_value == pytest.approx(-3.0)
+    assert be.n_vars == 3 and be.n_constraints == 3
+
+
+def test_add_rows_rejects_out_of_range_entries():
+    be = ScipyHighsBackend()
+    x = be.add_var(0, 1)
+    with pytest.raises(ValueError):
+        be.add_rows([0, 1], [x, x], [1, 1], -math.inf, 0.0)  # one bound, two rows
+    with pytest.raises(ValueError):
+        be.add_rows([0], [x + 1], [1], -math.inf, 0.0)  # no such column

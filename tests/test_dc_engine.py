@@ -246,6 +246,21 @@ def test_frontier_flows_are_zero_after_bridge_trip(grid57):
                 assert abs(state.flows[k]) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["grid30", "grid57", "grid118"])
+def test_ptdf_bridge_mask_matches_find_bridges(name, request):
+    # the screen reads bridges off the PTDF self-sensitivities; the lowlink
+    # traversal is the reference
+    grid = request.getfixturevalue(name)
+    analyzer = SecurityAnalyzer(grid, n_minus_1_contingencies(grid))
+    rng = random.Random(41)
+    configs = [SwitchConfig.all_closed()]
+    configs += [random_connected_config(grid, rng, max_open=8) for _ in range(20)]
+    for config in configs:
+        mask = analyzer._topology(config).bridge
+        got = {grid.branches[k].id for k in np.flatnonzero(mask)}
+        assert got == graph_ops.find_bridges(grid, config.closed_set(grid)), config
+
+
 def test_contingency_state_rejects_disconnected_base():
     grid = toy_grid()
     analyzer = SecurityAnalyzer(grid, n_minus_1_contingencies(grid))

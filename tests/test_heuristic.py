@@ -3,6 +3,7 @@ import time
 import pytest
 
 from otsd import heuristic, n_minus_1_contingencies, oracle
+from otsd.backend import ScipyHighsBackend, Status
 from otsd.dc_engine import SecurityAnalyzer, SecurityReport, ViolationDetail
 from otsd.errors import EmptyReport
 from otsd.grid import Branch, Bus, Grid
@@ -145,6 +146,21 @@ def test_infeasible_within_horizon_when_hops_capped():
     cons = n_minus_1_contingencies(grid)
     res = heuristic.solve(grid, cons, HeuristicParams(nh_0=0, nh_max=0))
     assert res.status is SolveStatus.INFEASIBLE_WITHIN_HORIZON
+
+
+def test_limit_hit_subproblem_never_grows_hops():
+    # the pinch instance needs hop growth; when every subproblem reports a
+    # limit hit, its residual proves nothing and the run ends in TIMEOUT
+    from conftest import pinch_grid
+
+    class LimitHit(ScipyHighsBackend):
+        def solve(self, time_limit=None):
+            status = super().solve(time_limit)
+            return Status.FEASIBLE if status is Status.OPTIMAL else status
+
+    grid = pinch_grid()
+    res = heuristic.solve(grid, n_minus_1_contingencies(grid), backend_factory=LimitHit)
+    assert res.status is SolveStatus.TIMEOUT
 
 
 def test_base_case_infeasible_detected():

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse
 
-from otsd import n_minus_1_contingencies, oracle
+from otsd import backend, n_minus_1_contingencies, oracle
 from otsd.backend import Status
 from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, structural_risk
 from otsd.errors import DuplicateContingency
@@ -294,3 +297,49 @@ def test_extensive_objective_not_below_structural_risk():
     res = solve_extensive(grid, cons)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective >= structural_risk(grid, cons)
+
+
+class _FirstCall(Exception):
+    pass
+
+
+def _first_program_digest(monkeypatch, run) -> str:
+    """sha256 of every array the first ``milp`` call of ``run`` receives."""
+    digest = hashlib.sha256()
+
+    def record(*, c, constraints, integrality, bounds, options):
+        for arr in (c, integrality, bounds.lb, bounds.ub):
+            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        for con in constraints:
+            a = scipy.sparse.csc_array(con.A)
+            assert a.has_sorted_indices
+            for arr in (a.shape, a.indptr, a.indices):
+                digest.update(np.asarray(arr, dtype=np.int64).tobytes())
+            for arr in (a.data, con.lb, con.ub):
+                digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        raise _FirstCall
+
+    monkeypatch.setattr(backend, "milp", record)
+    with pytest.raises(_FirstCall):
+        run()
+    return digest.hexdigest()
+
+
+def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
+    """Column order, row order and coefficients of three case14 programs are
+    fixed: any change to them moves HiGHS's search path."""
+    cons = n_minus_1_contingencies(grid14)
+    working = [cons.by_id(1), cons.by_id(7), cons.by_id(14)]
+    programs = {
+        "extensive": lambda: solve_extensive(grid14, cons),
+        "reduce_violations": lambda: reduce_violations(
+            grid14, working, switchable={3, 4, 5, 6, 10}),
+        "fixed_config_flows": lambda: fixed_config_flows(
+            grid14, SwitchConfig.with_open([3, 19]), ContingencySet(cases=(cons.by_id(12),))),
+    }
+    got = {name: _first_program_digest(monkeypatch, run) for name, run in programs.items()}
+    assert got == {
+        "extensive": "49c1d2feaa05b8e8171cab5d8e0f45f48fcb52e221c205b90f28b5ecfa8630f5",
+        "reduce_violations": "2cd554f6856414b445b701862f259ae4bb9addf2595ee3194890dc0f1a392979",
+        "fixed_config_flows": "cdf87f1ce8927ea8072a211a973618a402b1350f58ce8162ed19ef516d0e0c8e",
+    }
