@@ -9,9 +9,9 @@ with the configured limit. Usage:
 
 import argparse
 import csv
-import io
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -44,24 +44,23 @@ def main() -> int:
                     help="comma list: heuristic,extensive,security-only")
     args = ap.parse_args()
 
-    manifest = io.StringIO()
-    writer = csv.writer(manifest)
-    writer.writerow(["case", "tlf", "algo"])
-    for case, tlf in ROWS:
-        path = os.path.join(DATA, case)
-        if not os.path.exists(path):
-            print(f"skipping {case} (not bundled; see data/README.md)", file=sys.stderr)
-            continue
-        for algo in args.algos.split(","):
-            writer.writerow([path, tlf, algo])
-
-    manifest_path = os.path.join(HERE, "_bench_manifest.csv")
-    with open(manifest_path, "w") as fh:
-        fh.write(manifest.getvalue())
+    # a private temporary manifest: concurrent runs never share one, and a
+    # killed run leaves nothing in the source tree
+    fd, manifest_path = tempfile.mkstemp(prefix="otsd_bench_", suffix=".csv")
     try:
-        defaults = RunConfig(case="", time_limit=args.time_limit,
-                             per_solve_time_limit=args.time_limit)
-        return cmd_bench(manifest_path, defaults, jobs=args.jobs)
+        with os.fdopen(fd, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["case", "tlf", "algo"])
+            for case, tlf in ROWS:
+                path = os.path.join(DATA, case)
+                if not os.path.exists(path):
+                    print(f"skipping {case} (not bundled; see data/README.md)",
+                          file=sys.stderr)
+                    continue
+                for algo in args.algos.split(","):
+                    writer.writerow([path, tlf, algo])
+        return cmd_bench(manifest_path, RunConfig(case="", time_limit=args.time_limit),
+                         jobs=args.jobs)
     finally:
         os.unlink(manifest_path)
 

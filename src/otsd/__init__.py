@@ -6,7 +6,7 @@ while minimizing probability-weighted loss of load, accepting that islands
 stranded by a contingency black out.
 """
 
-from .backend import ScipyHighsBackend, Status, default_backend_factory
+from .backend import ScipyHighsBackend, Status
 from .case_io import RawCase, ResultDocument, load_case, parse_case, write_result
 from .dc_engine import (
     SecurityAnalyzer,
@@ -49,7 +49,7 @@ __all__ = [
     "RawCase", "ResultDocument", "load_case", "parse_case", "write_result",
     "SecurityAnalyzer", "SecurityReport", "dc_power_flow", "ptdf_matrix",
     "rebalance", "security_analysis", "structural_risk",
-    "ScipyHighsBackend", "Status", "default_backend_factory",
+    "ScipyHighsBackend", "Status",
     "BigMConfig", "OtsdModel", "build_base_case", "fixed_config_flows",
     "reduce_violations", "remove_unnecessary_openings", "solve_extensive",
     "HeuristicParams", "heuristic_solve", "most_constraining",

@@ -11,8 +11,7 @@ coordinate (COO) form. The one-variable and one-row calls are the same path
 with a block of one.
 
 Determinism: HiGHS runs single-threaded here and is deterministic for a fixed
-model; the ``seed`` option is accepted for interface stability and has no
-effect. Warm starts are recorded but not forwarded because the scipy wrapper
+model. Warm starts are recorded but not forwarded because the scipy wrapper
 exposes no MIP-start interface; adapters over richer solvers should forward
 them.
 """
@@ -57,8 +56,7 @@ class ScipyHighsBackend:
     after row additions and bound changes.
     """
 
-    def __init__(self, time_limit: float | None = None, mip_rel_gap: float | None = None,
-                 seed: int | None = None):
+    def __init__(self):
         self._lb = [np.empty(0)]
         self._ub = [np.empty(0)]
         self._integrality = [np.empty(0, dtype=np.int64)]
@@ -73,9 +71,6 @@ class ScipyHighsBackend:
         self._obj_const = 0.0
         self._sense = 1.0  # +1 minimize, -1 maximize
         self._warm: dict[int, float] = {}
-        self.time_limit = time_limit
-        self.mip_rel_gap = mip_rel_gap
-        self.seed = seed
         self._status = Status.ERROR
         self._x: np.ndarray | None = None
         self._objective_value: float | None = None
@@ -117,14 +112,13 @@ class ScipyHighsBackend:
         self._n_rows += count
         return range(start, self._n_rows)
 
-    def add_var(self, lb: float = -math.inf, ub: float = math.inf, name: str = "") -> int:
+    def add_var(self, lb: float = -math.inf, ub: float = math.inf) -> int:
         return self.add_vars(1, lb, ub)[0]
 
-    def add_binary(self, name: str = "") -> int:
+    def add_binary(self) -> int:
         return self.add_vars(1, 0.0, 1.0, binary=True)[0]
 
-    def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float,
-                       name: str = "") -> int:
+    def add_constraint(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         if sense == "<=":
             lb, ub = -math.inf, rhs
         elif sense == ">=":
@@ -180,11 +174,8 @@ class ScipyHighsBackend:
             constraints = [LinearConstraint(a, _stacked(self._row_lb), _stacked(self._row_ub))]
 
         options: dict = {}
-        limit = time_limit if time_limit is not None else self.time_limit
-        if limit is not None:
-            options["time_limit"] = float(limit)
-        if self.mip_rel_gap is not None:
-            options["mip_rel_gap"] = float(self.mip_rel_gap)
+        if time_limit is not None:
+            options["time_limit"] = float(time_limit)
 
         res = milp(c=c, constraints=constraints, integrality=integrality,
                    bounds=bounds, options=options)
@@ -217,17 +208,16 @@ class ScipyHighsBackend:
     def objective_value(self) -> float | None:
         return self._objective_value
 
-    def value(self, var: int) -> float:
+    @property
+    def solution(self) -> np.ndarray:
+        """Value of every column in the last solution."""
         if self._x is None:
             raise RuntimeError("no solution available")
-        return float(self._x[var])
+        return self._x
+
+    def value(self, var: int) -> float:
+        return float(self.solution[var])
 
     def values(self, variables) -> dict:
         return {key: self.value(idx) for key, idx in variables.items()}
 
-
-def default_backend_factory(**kwargs):
-    """Factory used across the solvers; one fresh model per program instance."""
-    def make() -> ScipyHighsBackend:
-        return ScipyHighsBackend(**kwargs)
-    return make

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import dc_engine, heuristic, milp_model
-from .backend import default_backend_factory
 from .case_io import ResultDocument, load_case, write_result
 from .errors import OtsdError
 from .grid import Grid, ProbabilityModel, SwitchConfig, build_grid, n_minus_1_contingencies
@@ -44,7 +43,6 @@ class RunConfig:
     tolerance: float = 1e-6
     prob_convention: ProbabilityModel = ProbabilityModel.UNIT
     time_limit: float | None = None
-    per_solve_time_limit: float | None = None
     output_format: str = "json"
     output: str | None = None
     seed: int | None = None
@@ -77,18 +75,14 @@ def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
     grid = _load_grid(config)
     contingencies = n_minus_1_contingencies(grid, config.prob_convention)
     sr = dc_engine.structural_risk(grid, contingencies)
-    factory = default_backend_factory(seed=config.seed)
 
     if config.algorithm == "heuristic":
         params = heuristic.HeuristicParams(
             nh_0=config.nh_0, nh_max=config.nh_max, tolerance=config.tolerance,
-            per_solve_time_limit=config.per_solve_time_limit,
             time_limit=config.time_limit)
-        result = heuristic.solve(grid, contingencies, params,
-                                 backend_factory=factory, bigm=_bigm(config))
+        result = heuristic.solve(grid, contingencies, params, bigm=_bigm(config))
     elif config.algorithm == "extensive":
         result = milp_model.solve_extensive(grid, contingencies, bigm=_bigm(config),
-                                            backend_factory=factory,
                                             time_limit=config.time_limit)
     else:  # security-only
         t0 = time.monotonic()
@@ -192,8 +186,7 @@ def _bench_row(row: dict, defaults: RunConfig) -> dict:
         case=row["case"], tlf=float(row["tlf"]), algorithm=row["algo"],
         nh_0=defaults.nh_0, nh_max=defaults.nh_max, tolerance=defaults.tolerance,
         prob_convention=defaults.prob_convention,
-        time_limit=defaults.time_limit,
-        per_solve_time_limit=defaults.per_solve_time_limit, seed=defaults.seed)
+        time_limit=defaults.time_limit, seed=defaults.seed)
     start = time.monotonic()
     try:
         config.validate()
@@ -272,11 +265,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--nh0", type=int, default=1)
     sp.add_argument("--nh-max", type=int, default=4)
     sp.add_argument("--time-limit", type=float, default=None, help="seconds")
-    sp.add_argument("--per-solve-time-limit", type=float, default=None)
     sp.add_argument("--format", choices=["json", "csv-summary"], default="json")
     sp.add_argument("--output", default=None)
     sp.add_argument("--seed", type=int, default=None,
-                    help="deterministic mode: fixed seed, timings zeroed in output")
+                    help="deterministic mode: timings zeroed in output")
 
     sp = sub.add_parser("check", help="security-analyze one configuration")
     common(sp)
@@ -285,7 +277,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--per-solve-time-limit", type=float, default=None)
     sp.add_argument("--nh0", type=int, default=1)
     sp.add_argument("--nh-max", type=int, default=4)
     sp.add_argument("--tolerance", type=float, default=1e-6)
@@ -310,7 +301,6 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             prob_convention=ProbabilityModel(args.prob_convention),
             time_limit=getattr(args, "time_limit", None),
-            per_solve_time_limit=getattr(args, "per_solve_time_limit", None),
             output_format=getattr(args, "format", "json"),
             output=getattr(args, "output", None),
             seed=getattr(args, "seed", None),
@@ -323,8 +313,7 @@ def main(argv=None) -> int:
     defaults = RunConfig(
         case="", nh_0=args.nh0, nh_max=args.nh_max, tolerance=args.tolerance,
         prob_convention=ProbabilityModel(args.prob_convention),
-        time_limit=args.time_limit, per_solve_time_limit=args.per_solve_time_limit,
-        seed=args.seed)
+        time_limit=args.time_limit, seed=args.seed)
     return cmd_bench(args.manifest, defaults, jobs=args.jobs)
 
 

@@ -8,8 +8,9 @@ proportional rebalancing that island injects nothing, so neither it nor the
 bridge carries flow, and the post-trip flows are exactly the base PTDF times
 the rebalanced injections. The island is read off the bridge's PTDF row,
 which is +-1 behind the bridge and 0 on the reference side. A trip of more
-than one closed branch takes the general path: rebalance, then solve the DC
-power flow of the post-trip topology.
+than one closed branch takes the general path: label the post-trip
+components, rebalance, then solve the DC power flow of the post-trip
+topology. The structural risk is the screen of the all-closed grid.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class SecurityReport:
     def clean(self) -> bool:
         return not self.violating_contingencies
 
-    def violating_ids(self) -> list[int | None]:
-        return list(self.violating_contingencies)
-
 
 def _injection_vector(grid: Grid, injections) -> np.ndarray:
     if isinstance(injections, dict):
@@ -75,10 +73,6 @@ def _injection_vector(grid: Grid, injections) -> np.ndarray:
     if p.shape != (grid.n_buses,):
         raise ValueError(f"injection vector must have shape ({grid.n_buses},)")
     return p
-
-
-def _closed_indexes(grid: Grid, closed) -> np.ndarray:
-    return np.array(sorted(grid.branch_index(e) for e in closed), dtype=int)
 
 
 def _laplacian(grid: Grid, ks: np.ndarray) -> np.ndarray:
@@ -111,24 +105,16 @@ def _ptdf(grid: Grid, ks: np.ndarray) -> np.ndarray:
     return ptdf
 
 
-def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
-    """Solve the DC power flow on the subgraph of closed branches.
-
-    Each connected component has one pinned angle: the reference bus in its
-    own component, the lowest-index bus elsewhere. Injections must balance
-    within every component.
-    """
-    p = _injection_vector(grid, injections)
-    closed = frozenset(closed_branches)
-    ks = _closed_indexes(grid, closed)
+def _power_flow(grid: Grid, ks: np.ndarray, labels: np.ndarray,
+                p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dc_power_flow`` by index: bus angles and branch flows on the closed
+    branches ``ks``, whose bus components are ``labels``."""
     n = grid.n_buses
-    labels = graph_ops.component_labels(grid, closed)
     n_comp = int(labels.max()) + 1
     imbalance = np.bincount(labels, weights=p, minlength=n_comp)
     bad = np.flatnonzero(np.abs(imbalance) > 1e-9 * max(1.0, float(np.abs(p).sum())))
     if bad.size:
-        ids = grid.bus_ids()
-        buses = [ids[i] for i in np.flatnonzero(labels == bad[0])]
+        buses = grid.bus_id[labels == bad[0]].tolist()
         raise ValueError(f"injections unbalanced by {imbalance[bad[0]]:.3e} "
                          f"in the component of buses {buses}")
     _, pins = np.unique(labels, return_index=True)
@@ -144,6 +130,19 @@ def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
 
     f = np.zeros(grid.n_branches)
     f[ks] = grid.susceptance[ks] * (theta[grid.dest_idx[ks]] - theta[grid.origin_idx[ks]])
+    return theta, f
+
+
+def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
+    """Solve the DC power flow on the subgraph of closed branches.
+
+    Each connected component has one pinned angle: the reference bus in its
+    own component, the lowest-index bus elsewhere. Injections must balance
+    within every component.
+    """
+    p = _injection_vector(grid, injections)
+    ks = grid.branch_indexes(closed_branches)
+    theta, f = _power_flow(grid, ks, graph_ops.component_labels(grid, ks), p)
     flows = {e.id: float(f[k]) for k, e in enumerate(grid.branches)}
     angles = {b.id: float(theta[i]) for i, b in enumerate(grid.buses)}
     return FlowState(angles=angles, flows=flows)
@@ -151,11 +150,10 @@ def dc_power_flow(grid: Grid, closed_branches, injections) -> FlowState:
 
 def ptdf_matrix(grid: Grid, closed_branches) -> np.ndarray:
     """PTDF of the closed subgraph; requires that subgraph to be connected."""
-    closed = frozenset(closed_branches)
-    ens = graph_ops.energized_component(grid, closed)
-    if ens.de_energized:
+    ks = grid.branch_indexes(closed_branches)
+    if graph_ops.component_labels(grid, ks).any():  # labels count from 0 per component
         raise DisconnectedCase("closed subgraph is not connected")
-    return _ptdf(grid, _closed_indexes(grid, closed))
+    return _ptdf(grid, ks)
 
 
 def _rescale(grid: Grid, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,11 +232,13 @@ class SecurityAnalyzer:
         if self._last is not None and self._last.closed == closed:
             return self._last
         grid = self.grid
-        ens = graph_ops.energized_component(grid, closed)
-        if ens.de_energized:
+        ks = grid.branch_indexes(closed)
+        labels = graph_ops.component_labels(grid, ks)
+        off = labels != labels[grid.ref_idx]
+        if off.any():
             raise DisconnectedCase(
-                f"base configuration disconnects buses {sorted(ens.de_energized)}")
-        ptdf = _ptdf(grid, _closed_indexes(grid, closed))
+                f"base configuration disconnects buses {sorted(grid.bus_id[off].tolist())}")
+        ptdf = _ptdf(grid, ks)
         # a closed branch is a bridge exactly when its self-sensitivity is 1
         # (the LODF denominator vanishes); open branches have zero PTDF rows
         arange = np.arange(grid.n_branches)
@@ -288,19 +288,20 @@ class SecurityAnalyzer:
     def _general_trip(self, base: _Topology, c: Contingency) -> ContingencyState:
         """Trip of several closed branches: rebalance, then a DC power flow."""
         grid = self.grid
-        closed = base.closed - c.tripped
-        ens = graph_ops.energized_component(grid, closed)
-        try:
-            reb = rebalance(grid, ens)
-        except UnbalanceableIsland:
+        ks = grid.branch_indexes(base.closed - c.tripped)
+        labels = graph_ops.component_labels(grid, ks)
+        on = labels == labels[grid.ref_idx]
+        de_energized = frozenset(grid.bus_id[~on].tolist())
+        sigma, loss, balanced = _rescale(grid, on[:, None])
+        if not balanced[0]:
             # main component cannot be balanced: the whole load is lost
             return ContingencyState(sigma=0.0, loss_of_load=float(grid.pd.sum()),
                                     flows=np.zeros(grid.n_branches),
-                                    de_energized=ens.de_energized, unbalanceable=True)
-        state = dc_power_flow(grid, closed, {b: reb.pg[b] - reb.pd[b] for b in reb.pg})
-        return ContingencyState(sigma=reb.sigma, loss_of_load=reb.loss_of_load,
-                                flows=np.array([state.flows[e.id] for e in grid.branches]),
-                                de_energized=ens.de_energized)
+                                    de_energized=de_energized, unbalanceable=True)
+        p = np.where(on, sigma[0] * grid.pg - grid.pd, 0.0)
+        _, flows = _power_flow(grid, ks, labels, p)
+        return ContingencyState(sigma=float(sigma[0]), loss_of_load=float(loss[0]),
+                                flows=flows, de_energized=de_energized)
 
     def _state(self, base: _Topology, contingency: Contingency | None) -> ContingencyState:
         live = contingency.tripped & base.closed if contingency is not None else ()
@@ -374,23 +375,10 @@ def security_analysis(grid: Grid, config: SwitchConfig, contingencies: Contingen
 def structural_risk(grid: Grid, contingencies: ContingencySet) -> float:
     """Probability-weighted loss of load with everything closed and limits ignored.
 
-    Only trips that split the all-closed graph contribute, so this is a lower
-    bound on the objective of any feasible configuration.
+    This is the objective of the screen of the all-closed grid, which counts
+    loss of load only. Only trips that split the all-closed graph contribute,
+    and openings only shrink the energized area after any trip, so this is a
+    lower bound on the objective of any feasible configuration.
     """
-    all_closed = frozenset(grid.branch_ids())
-    bridges = graph_ops.find_bridges(grid, all_closed)
-    total = 0.0
-    for c in contingencies:
-        if len(c.tripped) == 1 and not (c.tripped & bridges):
-            continue
-        closed_c = all_closed - c.tripped
-        ens = graph_ops.energized_component(grid, closed_c)
-        if not ens.de_energized:
-            continue
-        try:
-            reb = rebalance(grid, ens)
-            ll = reb.loss_of_load
-        except UnbalanceableIsland:
-            ll = float(grid.pd.sum())
-        total += c.probability * ll
-    return total
+    report = SecurityAnalyzer(grid, contingencies).analyze(SwitchConfig.all_closed())
+    return report.total_objective

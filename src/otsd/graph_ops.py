@@ -1,8 +1,15 @@
-"""Pure graph algorithms on the branch/bus structure.
+"""Graph questions on the branch/bus structure, answered by two primitives.
 
-Everything here speaks external bus/branch ids and takes the set of closed
-(or open) branches explicitly, so callers can evaluate arbitrary switching
-states without touching the Grid object.
+``component_labels`` labels the bus components of any set of closed
+branches with one sparse ``connected_components`` call; energized areas,
+disconnection cutsets and the components of a power flow are read off its
+labels. Hop neighbourhoods and the line-graph diameter are shortest paths on
+the line graph each ``Grid`` builds once. ``find_bridges`` keeps its own
+lowlink pass as an independent check of the PTDF bridge test.
+
+The public functions speak external bus/branch ids and take the set of
+closed (or open) branches explicitly, so callers can evaluate arbitrary
+switching states without touching the Grid object.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
 from .grid import Grid
 
@@ -23,10 +30,6 @@ class EnergizedSet:
     energized: frozenset[int]
     de_energized: frozenset[int]
 
-    @property
-    def has_blackout(self) -> bool:
-        return bool(self.de_energized)
-
 
 @dataclass(frozen=True)
 class Cutset:
@@ -36,26 +39,34 @@ class Cutset:
     separated_bus: int
 
 
-def component_labels(grid: Grid, closed_branches) -> np.ndarray:
-    """Component label of every bus index in the subgraph of closed branches."""
-    ks = np.array([grid.branch_index(e) for e in closed_branches], dtype=int)
-    o, d, n = grid.origin_idx[ks], grid.dest_idx[ks], grid.n_buses
+def component_labels(grid: Grid, closed) -> np.ndarray:
+    """Component label of every bus index in the subgraph of closed branches.
+
+    ``closed`` selects branches by internal index: a boolean mask or an
+    index array.
+    """
+    o, d, n = grid.origin_idx[closed], grid.dest_idx[closed], grid.n_buses
     # origin -> destination adjacency, assembled in CSR form directly (half
     # the cost of a COO conversion); its weak components are the bus components
     indptr = np.concatenate(([0], np.cumsum(np.bincount(o, minlength=n))))
     adjacency = scipy.sparse.csr_array(
-        (np.ones(len(ks)), d[np.argsort(o, kind="stable")], indptr), shape=(n, n))
+        (np.ones(len(o)), d[np.argsort(o, kind="stable")], indptr), shape=(n, n))
     return connected_components(adjacency, connection="weak")[1]
+
+
+def component_frontier(grid: Grid, labels: np.ndarray, bus_idx: int) -> np.ndarray:
+    """Indexes of the branches with exactly one endpoint in the component of ``bus_idx``."""
+    inside = labels == labels[bus_idx]
+    return np.flatnonzero(inside[grid.origin_idx] != inside[grid.dest_idx])
 
 
 def energized_component(grid: Grid, closed_branches) -> EnergizedSet:
     """Component of the reference bus in the subgraph of closed branches."""
-    labels = component_labels(grid, closed_branches)
+    labels = component_labels(grid, grid.branch_indexes(closed_branches))
     on = labels == labels[grid.ref_idx]
-    ids = np.array(grid.bus_ids())
     return EnergizedSet(
-        energized=frozenset(ids[on].tolist()),
-        de_energized=frozenset(ids[~on].tolist()),
+        energized=frozenset(grid.bus_id[on].tolist()),
+        de_energized=frozenset(grid.bus_id[~on].tolist()),
     )
 
 
@@ -115,54 +126,30 @@ def separating_cutset(grid: Grid, open_branches, bus: int) -> Cutset | None:
     component of ``bus``; all of them are open, so the cutset is a minimal
     certificate of the disconnection. None when the bus reaches the reference.
     """
-    open_set = frozenset(open_branches)
-    labels = component_labels(grid, [e for e in grid.branch_ids() if e not in open_set])
-    own = labels[grid.bus_index(bus)]
-    if labels[grid.ref_idx] == own:
+    closed = ~np.isin(grid.branch_id, list(open_branches))
+    labels = component_labels(grid, closed)
+    i = grid.bus_index(bus)
+    if labels[grid.ref_idx] == labels[i]:
         return None
-    inside = labels == own
-    frontier = np.flatnonzero(inside[grid.origin_idx] != inside[grid.dest_idx])
-    return Cutset(branches=frozenset(grid.branches[k].id for k in frontier),
-                  separated_bus=bus)
+    frontier = component_frontier(grid, labels, i)
+    return Cutset(branches=frozenset(grid.branch_id[frontier].tolist()), separated_bus=bus)
 
 
 def hop(grid: Grid, branch: int, l: int) -> frozenset[int]:
     """Branches within line-graph distance ``l`` of ``branch``.
 
     Two branches are adjacent when they share a bus; hop(e, 0) = {e} and the
-    result grows monotonically with ``l``.
+    result grows monotonically with ``l``. A breadth-first search on the
+    grid's line graph, stopped at depth ``l``.
     """
     if l < 0:
         raise ValueError("hop distance must be non-negative")
-    incident_ids: list[list[int]] = [
-        [grid.branches[k].id for k in ks] for ks in grid.incident
-    ]
-    reached = {branch}
-    frontier = [branch]
-    for _ in range(l):
-        nxt = []
-        for e in frontier:
-            k = grid.branch_index(e)
-            for i in (int(grid.origin_idx[k]), int(grid.dest_idx[k])):
-                for other in incident_ids[i]:
-                    if other not in reached:
-                        reached.add(other)
-                        nxt.append(other)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(reached)
+    # the line graph is symmetric, so a directed search needs no transpose
+    dist = dijkstra(grid.line_graph, indices=grid.branch_index(branch),
+                    unweighted=True, limit=l)
+    return frozenset(grid.branch_id[dist <= l].tolist())
 
 
 def line_graph_diameter(grid: Grid) -> int:
     """Eccentricity bound used to decide when hop saturation proves infeasibility."""
-    m = grid.n_branches
-    # branch x bus incidence; two branches are adjacent when they share a bus
-    incidence = scipy.sparse.csr_matrix(
-        (np.ones(2 * m), (np.tile(np.arange(m), 2),
-                          np.concatenate([grid.origin_idx, grid.dest_idx]))),
-        shape=(m, grid.n_buses))
-    line_graph = incidence @ incidence.T
-    line_graph.setdiag(0)
-    line_graph.eliminate_zeros()
-    return int(shortest_path(line_graph, directed=False, unweighted=True).max())
+    return int(shortest_path(grid.line_graph, directed=False, unweighted=True).max())

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DisconnectedCase, MalformedCase
 
@@ -96,6 +98,8 @@ class Grid:
     The graph of all branches is verified connected at construction; the
     reference bus must exist. Arrays are ordered by internal index, which
     follows the order of the ``buses`` / ``branches`` sequences.
+    ``line_graph`` is the sparse branch x branch adjacency (two branches are
+    adjacent when they share a bus), built once for the hop searches.
     """
 
     def __init__(self, buses: list[Bus], branches: list[Branch], reference_bus: int,
@@ -127,6 +131,8 @@ class Grid:
 
         self.n_buses = len(buses)
         self.n_branches = len(branches)
+        self.bus_id = np.array(ids)
+        self.branch_id = np.array(bids)
         self.origin_idx = np.array([self._bus_pos[e.origin] for e in branches])
         self.dest_idx = np.array([self._bus_pos[e.destination] for e in branches])
         self.susceptance = np.array([e.susceptance for e in branches])
@@ -141,30 +147,30 @@ class Grid:
         for k, e in enumerate(branches):
             self.out_branches[self.origin_idx[k]].append(k)
             self.in_branches[self.dest_idx[k]].append(k)
-        self.incident: list[list[int]] = [
-            self.out_branches[i] + self.in_branches[i] for i in range(self.n_buses)
-        ]
 
-        if not self._all_closed_connected():
+        # branch x bus incidence: buses sharing a branch are adjacent in the
+        # bus graph, branches sharing a bus in the line graph
+        m = self.n_branches
+        incidence = scipy.sparse.csr_matrix(
+            (np.ones(2 * m), (np.tile(np.arange(m), 2),
+                              np.concatenate([self.origin_idx, self.dest_idx]))),
+            shape=(m, self.n_buses))
+        if connected_components(incidence.T @ incidence, directed=False)[0] != 1:
             raise DisconnectedCase("graph of all branches is not connected")
-
-    def _all_closed_connected(self) -> bool:
-        seen = {self.ref_idx}
-        stack = [self.ref_idx]
-        while stack:
-            i = stack.pop()
-            for k in self.incident[i]:
-                j = int(self.dest_idx[k]) if self.origin_idx[k] == i else int(self.origin_idx[k])
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n_buses
+        line_graph = incidence @ incidence.T
+        line_graph.setdiag(0)
+        line_graph.eliminate_zeros()
+        self.line_graph = line_graph
 
     def bus_index(self, bus_id: int) -> int:
         return self._bus_pos[bus_id]
 
     def branch_index(self, branch_id: int) -> int:
         return self._branch_pos[branch_id]
+
+    def branch_indexes(self, branch_ids) -> np.ndarray:
+        """Sorted internal indexes of a collection of branch ids."""
+        return np.array(sorted({self._branch_pos[e] for e in branch_ids}), dtype=int)
 
     def branch_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.branches)
@@ -198,9 +204,6 @@ class SwitchConfig:
     @staticmethod
     def with_open(branch_ids) -> "SwitchConfig":
         return SwitchConfig(frozenset(branch_ids))
-
-    def is_closed(self, branch_id: int) -> bool:
-        return branch_id not in self.open_branches
 
     def base_status(self, grid: Grid) -> dict[int, bool]:
         """Map branch id -> closed flag, defined for every branch."""

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import graph_ops, milp_model
-from .backend import Status, default_backend_factory
+from .backend import ScipyHighsBackend, Status
 from .dc_engine import SecurityAnalyzer, SecurityReport
 from .errors import EmptyReport
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
@@ -28,7 +28,6 @@ class HeuristicParams:
     nh_0: int = 1
     nh_max: int = 4
     tolerance: float = 1e-6
-    per_solve_time_limit: float | None = None
     time_limit: float | None = None
 
     def __post_init__(self):
@@ -47,9 +46,6 @@ class HeuristicState:
     inner_iter: int = 0
     timings_ms: dict[str, float] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
-
-    def working_ids(self) -> set[int]:
-        return {c.id for c in self.working}
 
     def monitored_union(self) -> set[int]:
         out: set[int] = set()
@@ -144,7 +140,7 @@ def solve(grid: Grid, contingencies: ContingencySet,
     infeasible-within-horizon.
     """
     params = params or HeuristicParams()
-    factory = backend_factory or default_backend_factory()
+    factory = backend_factory or ScipyHighsBackend
     state = HeuristicState()
     deadline = None if params.time_limit is None else time.monotonic() + params.time_limit
 
@@ -152,12 +148,7 @@ def solve(grid: Grid, contingencies: ContingencySet,
         return deadline is not None and time.monotonic() > deadline
 
     def solve_time_limit() -> float | None:
-        if deadline is None:
-            return params.per_solve_time_limit
-        remaining = max(0.0, deadline - time.monotonic())
-        if params.per_solve_time_limit is None:
-            return remaining
-        return min(params.per_solve_time_limit, remaining)
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
 
     def infeasible_status(residual: set[int | None]) -> SolveStatus:
         if BASE_CASE in residual:

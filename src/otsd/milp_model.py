@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph_ops
-from .backend import ScipyHighsBackend, Status, default_backend_factory
+from .backend import ScipyHighsBackend, Status
 from .dc_engine import SecurityAnalyzer
 from .errors import DuplicateContingency
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
@@ -139,6 +139,7 @@ class OtsdModel:
         self.ll: dict[int, int] = {}
         self.ol: dict[int | None, dict[int, int]] = {}
         self.contingencies: dict[int, Contingency] = {}
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # cid -> (live, pi columns)
         self._cutset_registry: set[tuple] = set()
 
         self._build_base(base_thermal)
@@ -236,6 +237,7 @@ class OtsdModel:
         f = self._flows(cid, thermal, live)
         # energization is fixed at 1 at the reference
         pi, self.pi[cid] = self._vars(grid.bus_ids(), np.arange(n) == grid.ref_idx, 1.0)
+        self._blocks[cid] = (live, pi)
         sigma = self.sigma[cid] = be.add_var(0.0, self.sigma_max)
 
         self._add_ohm(live, th, f)
@@ -322,31 +324,29 @@ class OtsdModel:
         energization value while graph-disconnected from the reference, the
         frontier cutset of its component is added; returns the new (cid, bus,
         cutset) triples (empty when the solution is connectivity-consistent).
+        One labelling of the block's closed branches answers every bus.
         """
         grid, be = self.grid, self.backend
+        x = be.solution
+        closed = x[self._v_cols] > 0.5
+        by_id = np.argsort(grid.bus_id, kind="stable")  # bus indexes in bus-id order
         added: list[tuple] = []
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        v_vals = {eid: be.value(var) for eid, var in self.v.items()}
-        for cid, c in self.contingencies.items():
-            closed = {eid for eid, val in v_vals.items()
-                      if val > 0.5 and eid not in c.tripped}
-            ens = graph_ops.energized_component(grid, closed)
-            if not ens.de_energized:
-                continue
-            open_set = frozenset(grid.branch_ids()) - frozenset(closed)
-            for bus in sorted(ens.de_energized):
-                if be.value(self.pi[cid][bus]) <= SEPARATION_TOL:
-                    continue
-                cut = graph_ops.separating_cutset(grid, open_set, bus)
-                key = (cid, bus, cut.branches)
+        for cid, (live, pi) in self._blocks.items():
+            labels = graph_ops.component_labels(grid, closed & live)
+            stranded = by_id[(labels[by_id] != labels[grid.ref_idx])
+                             & (x[pi[by_id]] > SEPARATION_TOL)]
+            for i in stranded:
+                ks = graph_ops.component_frontier(grid, labels, i)
+                key = (cid, int(grid.bus_id[i]), frozenset(grid.branch_id[ks].tolist()))
                 if key in self._cutset_registry:
                     continue
                 # pi[bus] <= sum of v over the cut's branches still in service
-                frontier = [self.v[eid] for eid in cut.branches if eid not in c.tripped]
+                frontier = self._v_cols[ks[live[ks]]]
                 rows += [len(added)] * (1 + len(frontier))
-                cols += [self.pi[cid][bus], *frontier]
+                cols += [pi[i], *frontier]
                 vals += [1.0] + [-1.0] * len(frontier)
                 self._cutset_registry.add(key)
                 added.append(key)
@@ -413,7 +413,7 @@ def solve_extensive(grid: Grid, contingencies: ContingencySet,
     """The full extensive program: every contingency block, hard limits,
     probability-weighted loss-of-load objective, lazy cutsets to fixpoint."""
     start = time.monotonic()
-    factory = backend_factory or default_backend_factory()
+    factory = backend_factory or ScipyHighsBackend
     model = build_base_case(grid, bigm, factory())
     for c in contingencies:
         model.add_contingency_block(c, ENFORCE)
@@ -465,7 +465,7 @@ def fixed_config_flows(grid: Grid, config: SwitchConfig, contingencies: Continge
     bound configuration the state-containing bounds are used, never the
     optimization defaults: an oracle must not clip feasible states.
     """
-    factory = backend_factory or default_backend_factory()
+    factory = backend_factory or ScipyHighsBackend
     bigm = bigm or security_program_bounds(grid)
     base_flows: dict[int, float] | None = None
     states: dict[int, FixedContingencyState] = {}
@@ -516,7 +516,7 @@ def reduce_violations(grid: Grid, working: list[Contingency], switchable,
     Branches outside ``switchable`` are fixed closed (their own tripping case
     excepted, which the trip mask already handles).
     """
-    factory = backend_factory or default_backend_factory()
+    factory = backend_factory or ScipyHighsBackend
     model = build_base_case(grid, bigm, factory(), base_thermal=RELAX)
     for c in working:
         model.add_contingency_block(c, RELAX)
@@ -553,7 +553,7 @@ def remove_unnecessary_openings(grid: Grid, vfsol: SwitchConfig,
     the input one; with ``vfsol`` feasible on the working cases the program
     cannot be infeasible.
     """
-    factory = backend_factory or default_backend_factory()
+    factory = backend_factory or ScipyHighsBackend
     model = build_base_case(grid, bigm, factory(), base_thermal=ENFORCE)
     for c in working:
         model.add_contingency_block(c, ENFORCE)

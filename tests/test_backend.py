@@ -21,7 +21,7 @@ def test_simple_lp():
 def test_binary_knapsack():
     be = ScipyHighsBackend()
     items = [(3, 4), (4, 5), (2, 3)]  # (weight, value)
-    xs = [be.add_binary(f"x{i}") for i in range(3)]
+    xs = [be.add_binary() for _ in range(3)]
     be.add_constraint({x: w for x, (w, _) in zip(xs, items)}, "<=", 6)
     be.set_objective({x: v for x, (_, v) in zip(xs, items)}, "max")
     assert be.solve() is Status.OPTIMAL
@@ -89,7 +89,7 @@ def test_warm_start_accepted_without_effect():
 
 def test_deterministic_repeat_solves():
     def run():
-        be = ScipyHighsBackend(seed=1)
+        be = ScipyHighsBackend()
         xs = [be.add_binary() for _ in range(8)]
         for i in range(0, 8, 2):
             be.add_constraint({xs[i]: 1, xs[i + 1]: 1}, "<=", 1)

@@ -217,6 +217,29 @@ def test_structural_risk_anchors(grid57, grid118, grid30):
         structural_risk(grid30, n_minus_1_contingencies(grid30)), 0.035, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["grid30", "grid57"])
+def test_structural_risk_prices_multi_branch_trips(name, request):
+    # every two-branch trip priced from an independent search and raw sums
+    grid = request.getfixturevalue(name)
+    rng = random.Random(31)
+    pairs = rng.sample(list(itertools.combinations(grid.branch_ids(), 2)), 150)
+    cons = ContingencySet(cases=tuple(
+        Contingency(id=j, tripped=frozenset(pair), probability=rng.choice([0.5, 1.0]))
+        for j, pair in enumerate(pairs)))
+    total_load = sum(b.pd_ref for b in grid.buses)
+    expected, split = 0.0, 0
+    for c in cons:
+        on = oracle.bfs_energized(grid, set(grid.branch_ids()) - c.tripped,
+                                  grid.reference_bus)
+        load_on = sum(b.pd_ref for b in grid.buses if b.id in on)
+        gen_on = sum(b.pg_ref for b in grid.buses if b.id in on)
+        lost = total_load if gen_on <= 0.0 < load_on else total_load - load_on
+        expected += c.probability * lost
+        split += len(on) < grid.n_buses
+    assert split > 0
+    assert structural_risk(grid, cons) == pytest.approx(expected, abs=1e-10)
+
+
 def test_objective_never_below_structural_risk(grid30):
     cons = n_minus_1_contingencies(grid30)
     sr = structural_risk(grid30, cons)

@@ -160,6 +160,24 @@ def test_hop_saturates_to_component(grid14):
     assert graph_ops.hop(grid14, 1, m) == set(grid14.branch_ids())
 
 
+def breadth_first_hop(grid, branch, l):
+    """Level-by-level search over branches sharing a bus: the hop reference."""
+    ends = {e.id: {e.origin, e.destination} for e in grid.branches}
+    reached, frontier = {branch}, {branch}
+    for _ in range(l):
+        frontier = {e for e in ends if e not in reached
+                    and any(ends[e] & ends[f] for f in frontier)}
+        reached |= frontier
+    return reached
+
+
+def test_hop_matches_breadth_first_reference(grid30):
+    diameter = graph_ops.line_graph_diameter(grid30)
+    for e in grid30.branch_ids():
+        for l in range(diameter + 1):
+            assert graph_ops.hop(grid30, e, l) == breadth_first_hop(grid30, e, l)
+
+
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=5))
 @settings(max_examples=60, deadline=None)
 def test_hop_monotone(eid, l):

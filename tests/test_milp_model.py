@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from otsd import backend, n_minus_1_contingencies, oracle
+from otsd import backend, graph_ops, n_minus_1_contingencies, oracle
 from otsd.backend import Status
 from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, structural_risk
 from otsd.errors import DuplicateContingency
@@ -147,6 +147,7 @@ def test_balanced_island_needs_cutsets():
 def test_pi_matches_bfs_oracle_random_configs(grid30):
     cons = n_minus_1_contingencies(grid30)
     rng = random.Random(17)
+    cuts = 0
     for _ in range(5):
         config = random_connected_config(grid30, rng)
         model = build_base_case(grid30, base_thermal=OMIT)
@@ -161,6 +162,12 @@ def test_pi_matches_bfs_oracle_random_configs(grid30):
             for bus, val in model.pi_values(c.id).items():
                 assert min(abs(val), abs(1.0 - val)) < 1e-6
                 assert (val > 0.5) == (bus in on)
+        # each cutset read off a block's labels is the per-bus frontier cutset
+        for cid, bus, cut in model._cutset_registry:
+            opened = config.open_branches | cons.by_id(cid).tripped
+            assert graph_ops.separating_cutset(grid30, opened, bus).branches == cut
+            cuts += 1
+    assert cuts > 0
 
 
 def test_bigm_soundness_on_solution():
@@ -299,15 +306,22 @@ def test_extensive_objective_not_below_structural_risk():
     assert res.objective >= structural_risk(grid, cons)
 
 
-class _FirstCall(Exception):
+class _Recorded(Exception):
     pass
 
 
-def _first_program_digest(monkeypatch, run) -> str:
-    """sha256 of every array the first ``milp`` call of ``run`` receives."""
+def _program_digest(monkeypatch, run, call: int) -> str:
+    """sha256 of every array the ``milp`` call number ``call`` of ``run``
+    receives; the calls before it are solved."""
     digest = hashlib.sha256()
+    solve = backend.milp
+    solved = []
 
     def record(*, c, constraints, integrality, bounds, options):
+        if len(solved) < call:
+            solved.append(call)
+            return solve(c=c, constraints=constraints, integrality=integrality,
+                         bounds=bounds, options=options)
         for arr in (c, integrality, bounds.lb, bounds.ub):
             digest.update(np.asarray(arr, dtype=np.float64).tobytes())
         for con in constraints:
@@ -317,29 +331,37 @@ def _first_program_digest(monkeypatch, run) -> str:
                 digest.update(np.asarray(arr, dtype=np.int64).tobytes())
             for arr in (a.data, con.lb, con.ub):
                 digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-        raise _FirstCall
+        raise _Recorded
 
-    monkeypatch.setattr(backend, "milp", record)
-    with pytest.raises(_FirstCall):
+    with monkeypatch.context() as patch, pytest.raises(_Recorded):
+        patch.setattr(backend, "milp", record)
         run()
     return digest.hexdigest()
 
 
 def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
-    """Column order, row order and coefficients of three case14 programs are
-    fixed: any change to them moves HiGHS's search path."""
+    """Column order, row order and coefficients of four programs are fixed:
+    any change to them moves HiGHS's search path. The last is the re-solve
+    after the first cutset round of the balanced-island toy."""
     cons = n_minus_1_contingencies(grid14)
     working = [cons.by_id(1), cons.by_id(7), cons.by_id(14)]
-    programs = {
-        "extensive": lambda: solve_extensive(grid14, cons),
-        "reduce_violations": lambda: reduce_violations(
-            grid14, working, switchable={3, 4, 5, 6, 10}),
-        "fixed_config_flows": lambda: fixed_config_flows(
-            grid14, SwitchConfig.with_open([3, 19]), ContingencySet(cases=(cons.by_id(12),))),
+    island = balanced_island_grid()
+    bridge_trip = Contingency(id=3, tripped=frozenset({3}), probability=1.0)
+    programs = {  # name -> (run, number of the milp call to hash)
+        "extensive": (lambda: solve_extensive(grid14, cons), 0),
+        "reduce_violations": (lambda: reduce_violations(
+            grid14, working, switchable={3, 4, 5, 6, 10}), 0),
+        "fixed_config_flows": (lambda: fixed_config_flows(
+            grid14, SwitchConfig.with_open([3, 19]),
+            ContingencySet(cases=(cons.by_id(12),))), 0),
+        "after_cutsets": (lambda: fixed_config_flows(
+            island, SwitchConfig.all_closed(), ContingencySet(cases=(bridge_trip,))), 1),
     }
-    got = {name: _first_program_digest(monkeypatch, run) for name, run in programs.items()}
+    got = {name: _program_digest(monkeypatch, run, call)
+           for name, (run, call) in programs.items()}
     assert got == {
         "extensive": "49c1d2feaa05b8e8171cab5d8e0f45f48fcb52e221c205b90f28b5ecfa8630f5",
         "reduce_violations": "2cd554f6856414b445b701862f259ae4bb9addf2595ee3194890dc0f1a392979",
         "fixed_config_flows": "cdf87f1ce8927ea8072a211a973618a402b1350f58ce8162ed19ef516d0e0c8e",
+        "after_cutsets": "6ef7d88db60090c5e8756afe307cde9c896f674d5880ff3c3130560acbaab6ac",
     }
