@@ -1,19 +1,18 @@
 """MILP backend contract and the scipy/HiGHS adapter.
 
 The contract is the only seam to third-party solvers: variables with bounds,
-binaries, linear constraints, a linear objective, warm starts, bound fixing,
-and a time-limited solve with status/value queries. The bundled adapter sits
+binaries, linear constraints, a linear objective, bound fixing, and a
+time-limited solve with status/value queries. The bundled adapter sits
 on ``scipy.optimize.milp`` (HiGHS).
 
 Variables and rows enter in blocks of numpy arrays: ``add_vars`` appends a
 range of columns with their bounds, ``add_rows`` a block of rows in
 coordinate (COO) form. The one-variable and one-row calls are the same path
-with a block of one.
+with a block of one. Bound changes take one column or an array of columns,
+and ``solution`` holds the value of every column.
 
 Determinism: HiGHS runs single-threaded here and is deterministic for a fixed
-model. Warm starts are recorded but not forwarded because the scipy wrapper
-exposes no MIP-start interface; adapters over richer solvers should forward
-them.
+model.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class ScipyHighsBackend:
         self._obj: dict[int, float] = {}
         self._obj_const = 0.0
         self._sense = 1.0  # +1 minimize, -1 maximize
-        self._warm: dict[int, float] = {}
         self._status = Status.ERROR
         self._x: np.ndarray | None = None
         self._objective_value: float | None = None
@@ -135,14 +133,12 @@ class ScipyHighsBackend:
         self._obj_const = constant
         self._sense = 1.0 if sense == "min" else -1.0
 
-    def set_warm_start(self, values: dict[int, float]) -> None:
-        self._warm = dict(values)
-
-    def set_bounds(self, var: int, lb: float, ub: float) -> None:
+    def set_bounds(self, var: int | np.ndarray, lb, ub) -> None:
+        """Bounds of column ``var``, or of an array of columns (scalars broadcast)."""
         _stacked(self._lb)[var] = lb
         _stacked(self._ub)[var] = ub
 
-    def fix_var(self, var: int, value: float) -> None:
+    def fix_var(self, var: int | np.ndarray, value) -> None:
         self.set_bounds(var, value, value)
 
     def unfix_var(self, var: int, lb: float, ub: float) -> None:
@@ -217,7 +213,3 @@ class ScipyHighsBackend:
 
     def value(self, var: int) -> float:
         return float(self.solution[var])
-
-    def values(self, variables) -> dict:
-        return {key: self.value(idx) for key, idx in variables.items()}
-

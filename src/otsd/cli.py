@@ -14,7 +14,6 @@ from . import dc_engine, heuristic, milp_model
 from .case_io import ResultDocument, load_case, write_result
 from .errors import OtsdError
 from .grid import Grid, ProbabilityModel, SwitchConfig, build_grid, n_minus_1_contingencies
-from .milp_model import BigMConfig
 from .results import SolveResult, SolveStatus
 
 EXIT_OK = 0
@@ -47,7 +46,6 @@ class RunConfig:
     output: str | None = None
     seed: int | None = None
     open_branches: tuple[int, ...] = ()
-    delta_theta_max: float | None = None
 
     def validate(self) -> None:
         if self.algorithm not in ("heuristic", "extensive", "security-only"):
@@ -65,30 +63,26 @@ def _load_grid(config: RunConfig) -> Grid:
     return build_grid(raw, tlf=config.tlf)
 
 
-def _bigm(config: RunConfig) -> BigMConfig:
-    if config.delta_theta_max is not None:
-        return BigMConfig(delta_theta_max=config.delta_theta_max)
-    return BigMConfig()
-
-
 def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
     grid = _load_grid(config)
     contingencies = n_minus_1_contingencies(grid, config.prob_convention)
-    sr = dc_engine.structural_risk(grid, contingencies)
+    # the structural risk is the all-closed screen's objective; one analyzer
+    # serves it and the screen of --open, so all-closed factorizes once
+    analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
+    sr = analyzer.analyze(SwitchConfig.all_closed()).total_objective
 
     if config.algorithm == "heuristic":
         params = heuristic.HeuristicParams(
             nh_0=config.nh_0, nh_max=config.nh_max, tolerance=config.tolerance,
             time_limit=config.time_limit)
-        result = heuristic.solve(grid, contingencies, params, bigm=_bigm(config))
+        result = heuristic.solve(grid, contingencies, params)
     elif config.algorithm == "extensive":
-        result = milp_model.solve_extensive(grid, contingencies, bigm=_bigm(config),
+        result = milp_model.solve_extensive(grid, contingencies,
                                             time_limit=config.time_limit)
     else:  # security-only
         t0 = time.monotonic()
         cfg = SwitchConfig.with_open(config.open_branches)
-        report = dc_engine.security_analysis(grid, cfg, contingencies,
-                                             tolerance=config.tolerance)
+        report = analyzer.analyze(cfg)
         elapsed = (time.monotonic() - t0) * 1000.0
         status = SolveStatus.FEASIBLE if report.clean else SolveStatus.INFEASIBLE
         result = SolveResult(
@@ -149,9 +143,9 @@ def cmd_check(config: RunConfig, out=None, err=None) -> int:
         grid = _load_grid(config)
         contingencies = n_minus_1_contingencies(grid, config.prob_convention)
         cfg = SwitchConfig.with_open(config.open_branches)
-        report = dc_engine.security_analysis(grid, cfg, contingencies,
-                                             tolerance=config.tolerance)
-        sr = dc_engine.structural_risk(grid, contingencies)
+        analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
+        sr = analyzer.analyze(SwitchConfig.all_closed()).total_objective
+        report = analyzer.analyze(cfg)
     except (OtsdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
@@ -255,8 +249,6 @@ def _parser() -> argparse.ArgumentParser:
                         default="unit")
         sp.add_argument("--open", default="",
                         help="comma-separated branch ids to open")
-        sp.add_argument("--delta-theta-max", type=float, default=None,
-                        help="angle-spread bound used by the linearizations")
 
     sp = sub.add_parser("solve", help="find a switching configuration")
     common(sp)
@@ -305,7 +297,6 @@ def main(argv=None) -> int:
             output=getattr(args, "output", None),
             seed=getattr(args, "seed", None),
             open_branches=_parse_open(args.open),
-            delta_theta_max=args.delta_theta_max,
         )
         if args.command == "solve":
             return cmd_solve(config)

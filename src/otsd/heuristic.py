@@ -17,7 +17,7 @@ from .backend import ScipyHighsBackend, Status
 from .dc_engine import SecurityAnalyzer, SecurityReport
 from .errors import EmptyReport
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
-from .milp_model import BASE_CASE, BigMConfig
+from .milp_model import BASE_CASE
 from .results import SolveResult, SolveStatus
 
 INFEASIBLE = "infeasible"
@@ -129,7 +129,7 @@ def _result(status: SolveStatus, state: HeuristicState,
 
 def solve(grid: Grid, contingencies: ContingencySet,
           params: HeuristicParams | None = None,
-          backend_factory=None, bigm: BigMConfig | None = None) -> SolveResult:
+          backend_factory=None) -> SolveResult:
     """Run the full loop from the all-closed configuration.
 
     Returns a feasible configuration verified by a final security analysis,
@@ -182,7 +182,6 @@ def solve(grid: Grid, contingencies: ContingencySet,
                 state.hop_counts[mb] = params.nh_0
     recompute_switchable(grid, state)
 
-    warm_start = None
     while True:
         state.outer_iter += 1
         # inner loop: push overloads to zero on the working set
@@ -192,13 +191,12 @@ def solve(grid: Grid, contingencies: ContingencySet,
                 return _result(SolveStatus.TIMEOUT, state)
             t = time.monotonic()
             rv = milp_model.reduce_violations(
-                grid, state.working, state.switchable, warm_start=warm_start,
+                grid, state.working, state.switchable,
                 backend_factory=factory, time_limit=solve_time_limit(),
-                tolerance=params.tolerance, bigm=bigm)
+                tolerance=params.tolerance)
             state.add_time("reduce_violations", time.monotonic() - t)
             if rv.status is Status.TIMEOUT or rv.config is None:
                 return _result(SolveStatus.TIMEOUT, state)
-            warm_start = rv.values
             state.incumbent = rv.config
             state.log.append({
                 "phase": "reduce_violations", "outer": state.outer_iter,
@@ -220,11 +218,10 @@ def solve(grid: Grid, contingencies: ContingencySet,
 
         t = time.monotonic()
         vsol = milp_model.remove_unnecessary_openings(
-            grid, rv.config, state.working, backend_factory=factory, bigm=bigm,
+            grid, rv.config, state.working, backend_factory=factory,
             time_limit=solve_time_limit())
         state.add_time("simplify", time.monotonic() - t)
         state.incumbent = vsol
-        warm_start = None
 
         if out_of_time():
             return _result(SolveStatus.TIMEOUT, state)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ OMIT = "omit"
 BASE_CASE = None  # pseudo-case id for the no-contingency state
 
 SEPARATION_TOL = 1e-6
+SIGMA_CAP = 10.0  # default ceiling on the generation rescale factor
 
 
 @dataclass(frozen=True)
@@ -35,26 +36,20 @@ class BigMConfig:
     """Bounds used by the linearizations.
 
     ``delta_theta_max`` bounds the angle spread across any single branch,
-    open or closed, through the on/off reformulation rows;
-    ``virtual_flow_bound`` defaults to the bus count; ``sigma_max`` defaults
-    to total load over the smallest positive per-bus generation, capped at
-    ``sigma_cap``.
+    open or closed, through the on/off reformulation rows; ``sigma_max``
+    defaults to total load over the smallest positive per-bus generation,
+    capped at ``SIGMA_CAP``. The connectivity certificate's virtual flows are
+    bounded by the bus count.
     """
 
     delta_theta_max: float = 2.0 * math.pi
-    virtual_flow_bound: float | None = None
     sigma_max: float | None = None
-    sigma_cap: float = 10.0
 
     def __post_init__(self):
         if not self.delta_theta_max > 0:
             raise ValueError("delta_theta_max must be positive")
         if self.sigma_max is not None and self.sigma_max < 1.0:
             raise ValueError("sigma_max must be at least 1")
-
-    def virtual_bound(self, grid: Grid) -> float:
-        return float(self.virtual_flow_bound if self.virtual_flow_bound is not None
-                     else grid.n_buses)
 
     def sigma_bound(self, grid: Grid) -> float:
         if self.sigma_max is not None:
@@ -63,7 +58,7 @@ class BigMConfig:
         if not positive:
             return 1.0
         raw = grid.total_load / min(positive)
-        return float(max(1.0, min(raw, self.sigma_cap)))
+        return float(max(1.0, min(raw, SIGMA_CAP)))
 
 
 def security_program_bounds(grid: Grid) -> BigMConfig:
@@ -104,21 +99,36 @@ def _interleave(count: int, *columns) -> np.ndarray:
     return out.ravel()
 
 
+@dataclass
+class _Block:
+    """Columns of one case (the base case or a contingency), by bus or branch index."""
+
+    live: np.ndarray  # branches in service in this case
+    theta: np.ndarray
+    flow: np.ndarray
+    overload: np.ndarray  # RELAX thermal slacks, one per limited live branch ...
+    overload_branch: np.ndarray  # ... and the branch index of each
+    pi: np.ndarray | None = None  # energization; contingencies only
+    sigma: int | None = None  # generation rescale factor
+    ll: int | None = None  # loss of load
+
+
 class OtsdModel:
     """One backend model holding the base-case block and appended contingency blocks.
 
     Every variable group is one contiguous column range, and every block kind
     (Ohm's law on/off rows, nodal balance, energization coupling, sigma*pi
     products, thermal slacks, the connectivity certificate, loss of load,
-    cutsets) is one array call on the backend. Variable registries map each
-    model symbol to its (bus or branch) x case column; contingency blocks are
-    append-only and cutset constraints are deduplicated through a registry.
+    cutsets) is one array call on the backend. ``v`` holds the switching
+    columns by branch index and ``blocks`` one column record per case, so
+    every fixing, objective and read-out is one array operation; contingency
+    blocks are append-only and cutset constraints are deduplicated through a
+    registry.
     """
 
     def __init__(self, grid: Grid, bigm: BigMConfig, backend: ScipyHighsBackend,
                  base_thermal: str = ENFORCE):
         self.grid = grid
-        self.bigm = bigm
         self.backend = backend
         # delta_theta_max bounds the spread across one branch (the on/off
         # reformulation enforces it, open branches included); bus angles
@@ -126,53 +136,39 @@ class OtsdModel:
         # offsets accumulate along radial paths
         self.theta_bound = grid.n_buses * bigm.delta_theta_max
         self.sigma_max = bigm.sigma_bound(grid)
-        self.virtual_bound = bigm.virtual_bound(grid)
         self._big_m = grid.susceptance * bigm.delta_theta_max  # Ohm big-M by branch
 
-        self.v: dict[int, int] = {}
-        self.theta: dict[int | None, dict[int, int]] = {}
-        self.flow: dict[int | None, dict[int, int]] = {}
-        self.virt: dict[int, int] = {}
-        self.pi: dict[int, dict[int, int]] = {}
-        self.sigma: dict[int, int] = {}
-        self.sig_pi: dict[int, dict[int, int]] = {}
-        self.ll: dict[int, int] = {}
-        self.ol: dict[int | None, dict[int, int]] = {}
+        self.blocks: dict[int | None, _Block] = {}
         self.contingencies: dict[int, Contingency] = {}
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # cid -> (live, pi columns)
         self._cutset_registry: set[tuple] = set()
 
         self._build_base(base_thermal)
 
     # -- shared pieces -------------------------------------------------------
 
-    def _vars(self, keys, lb, ub, binary: bool = False) -> tuple[np.ndarray, dict]:
-        """Columns for ``keys``, as an array and as a key -> column registry."""
-        cols = self.backend.add_vars(len(keys), lb, ub, binary)
-        return np.asarray(cols), dict(zip(keys, cols))
+    def _vars(self, count: int, lb, ub, binary: bool = False) -> np.ndarray:
+        return np.asarray(self.backend.add_vars(count, lb, ub, binary))
 
-    def _angles(self, case: int | None) -> np.ndarray:
+    def _angles(self) -> np.ndarray:
         lb = np.full(self.grid.n_buses, -self.theta_bound)
         ub = np.full(self.grid.n_buses, self.theta_bound)
         lb[self.grid.ref_idx] = ub[self.grid.ref_idx] = 0.0
-        th, self.theta[case] = self._vars(self.grid.bus_ids(), lb, ub)
-        return th
+        return self._vars(self.grid.n_buses, lb, ub)
 
-    def _flows(self, case: int | None, thermal: str, live: np.ndarray) -> np.ndarray:
+    def _flows(self, thermal: str, live: np.ndarray) -> np.ndarray:
         """Flow columns; a tripped branch's flow is fixed at zero."""
         bound = self._big_m
         if thermal == ENFORCE:
             bound = np.minimum(bound, self.grid.limit)
-        f, self.flow[case] = self._vars(self.grid.branch_ids(), np.where(live, -bound, 0.0),
-                                        np.where(live, bound, 0.0))
-        return f
+        return self._vars(self.grid.n_branches, np.where(live, -bound, 0.0),
+                          np.where(live, bound, 0.0))
 
     def _add_ohm(self, live: np.ndarray, th: np.ndarray, f: np.ndarray) -> None:
         """Flow equals susceptance times angle difference when closed, else zero."""
         grid = self.grid
         ks = np.flatnonzero(live)
         b, m = grid.susceptance[ks], self._big_m[ks]
-        fk, vk = f[ks], self._v_cols[ks]
+        fk, vk = f[ks], self.v[ks]
         tho, thd = th[grid.origin_idx[ks]], th[grid.dest_idx[ks]]
         r = 4 * np.arange(len(ks))
         self.backend.add_rows(
@@ -183,17 +179,20 @@ class OtsdModel:
             _interleave(len(ks), -math.inf, 0.0, -math.inf, -m),
             _interleave(len(ks), 0.0, math.inf, m, math.inf))
 
-    def _add_thermal(self, case: int | None, thermal: str, live: np.ndarray,
-                     f: np.ndarray) -> None:
+    def _add_thermal(self, thermal: str, live: np.ndarray,
+                     f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Overload slack columns and the branch index of each (none unless RELAX)."""
         if thermal != RELAX:
-            return  # ENFORCE is handled through flow variable bounds
+            none = np.empty(0, dtype=int)
+            return none, none  # ENFORCE is handled through flow variable bounds
         grid = self.grid
         ks = np.flatnonzero(live & np.isfinite(grid.limit))
-        s, self.ol[case] = self._vars([grid.branches[k].id for k in ks], 0.0, math.inf)
+        s = self._vars(len(ks), 0.0, math.inf)
         limit, r = grid.limit[ks], 2 * np.arange(len(ks))
         self.backend.add_rows(
             *_coo((r, f[ks], 1.0), (r, s, -1.0), (r + 1, f[ks], 1.0), (r + 1, s, 1.0)),
             _interleave(len(ks), -math.inf, -limit), _interleave(len(ks), limit, math.inf))
+        return s, ks
 
     # -- base case -----------------------------------------------------------
 
@@ -201,21 +200,21 @@ class OtsdModel:
         grid, be = self.grid, self.backend
         o, d = grid.origin_idx, grid.dest_idx
         live = np.ones(grid.n_branches, dtype=bool)
-        self._v_cols, self.v = self._vars(grid.branch_ids(), 0.0, 1.0, binary=True)
-        th = self._angles(BASE_CASE)
-        f = self._flows(BASE_CASE, thermal, live)
+        self.v = self._vars(grid.n_branches, 0.0, 1.0, binary=True)
+        th = self._angles()
+        f = self._flows(thermal, live)
         self._add_ohm(live, th, f)
         balance = grid.pd - grid.pg
         be.add_rows(*_coo((d, f, 1.0), (o, f, -1.0)), balance, balance)
-        self._add_thermal(BASE_CASE, thermal, live, f)
+        self.blocks[BASE_CASE] = _Block(live, th, f, *self._add_thermal(thermal, live, f))
 
         # single-commodity connectivity certificate: the reference sources
         # one unit for every other bus, each bus absorbs one
-        big_v = self.virtual_bound
-        cf, self.virt = self._vars(grid.branch_ids(), -big_v, big_v)
+        big_v = float(grid.n_buses)
+        cf = self._vars(grid.n_branches, -big_v, big_v)
         r = 2 * np.arange(grid.n_branches)
-        be.add_rows(*_coo((r, cf, 1.0), (r, self._v_cols, -big_v),
-                          (r + 1, cf, 1.0), (r + 1, self._v_cols, big_v)),
+        be.add_rows(*_coo((r, cf, 1.0), (r, self.v, -big_v),
+                          (r + 1, cf, 1.0), (r + 1, self.v, big_v)),
                     _interleave(grid.n_branches, -math.inf, 0.0),
                     _interleave(grid.n_branches, 0.0, math.inf))
         delta = np.ones(grid.n_buses)
@@ -230,21 +229,19 @@ class OtsdModel:
         grid, be = self.grid, self.backend
         o, d, n = grid.origin_idx, grid.dest_idx, grid.n_buses
         self.contingencies[c.id] = c
-        cid = c.id
-        live = ~np.isin(grid.branch_ids(), list(c.tripped))
+        live = ~np.isin(grid.branch_id, list(c.tripped))
 
-        th = self._angles(cid)
-        f = self._flows(cid, thermal, live)
+        th = self._angles()
+        f = self._flows(thermal, live)
         # energization is fixed at 1 at the reference
-        pi, self.pi[cid] = self._vars(grid.bus_ids(), np.arange(n) == grid.ref_idx, 1.0)
-        self._blocks[cid] = (live, pi)
-        sigma = self.sigma[cid] = be.add_var(0.0, self.sigma_max)
+        pi = self._vars(n, np.arange(n) == grid.ref_idx, 1.0)
+        sigma = be.add_var(0.0, self.sigma_max)
 
         self._add_ohm(live, th, f)
 
         # energization coupling across closed, non-tripped branches
         ks = np.flatnonzero(live)
-        po, pd_, vk = pi[o[ks]], pi[d[ks]], self._v_cols[ks]
+        po, pd_, vk = pi[o[ks]], pi[d[ks]], self.v[ks]
         r = 2 * np.arange(len(ks))
         be.add_rows(*_coo((r, po, 1.0), (r, pd_, -1.0), (r, vk, 1.0),
                           (r + 1, pd_, 1.0), (r + 1, po, -1.0), (r + 1, vk, 1.0)),
@@ -252,7 +249,7 @@ class OtsdModel:
 
         # sigma * pi products for generator buses
         gen = np.flatnonzero(grid.pg > 0)
-        y, self.sig_pi[cid] = self._vars([grid.buses[i].id for i in gen], 0.0, self.sigma_max)
+        y = self._vars(len(gen), 0.0, self.sigma_max)
         pig, smax, r = pi[gen], self.sigma_max, 3 * np.arange(len(gen))
         be.add_rows(*_coo((r, y, 1.0), (r, pig, -smax),
                           (r + 1, sigma, 1.0), (r + 1, y, -1.0),
@@ -266,54 +263,41 @@ class OtsdModel:
                           (load, pi[load], -grid.pd[load])),
                     np.zeros(n), np.zeros(n))
 
-        self._add_thermal(cid, thermal, live, f)
+        overload, overload_branch = self._add_thermal(thermal, live, f)
 
         total_pd = grid.total_load
-        self.ll[cid] = be.add_var(0.0, total_pd)
-        be.add_rows(*_coo((np.zeros(1, dtype=int), self.ll[cid], 1.0),
+        ll = be.add_var(0.0, total_pd)
+        be.add_rows(*_coo((np.zeros(1, dtype=int), ll, 1.0),
                           (np.zeros(len(load), dtype=int), pi[load], grid.pd[load])),
                     total_pd, total_pd)
+        self.blocks[c.id] = _Block(live, th, f, overload, overload_branch, pi, sigma, ll)
 
     # -- configuration handling -------------------------------------------------
 
     def fix_config(self, config: SwitchConfig) -> None:
-        for eid, var in self.v.items():
-            self.backend.fix_var(var, 0.0 if eid in config.open_branches else 1.0)
+        opened = np.isin(self.grid.branch_id, list(config.open_branches))
+        self.backend.fix_var(self.v, np.where(opened, 0.0, 1.0))
 
     def force_closed_outside(self, switchable) -> None:
-        allowed = frozenset(switchable)
-        for eid, var in self.v.items():
-            if eid not in allowed:
-                self.backend.fix_var(var, 1.0)
-
-    def require_at_least(self, config: SwitchConfig) -> None:
-        """Only allow re-closing relative to ``config`` (openings may not grow)."""
-        for eid, var in self.v.items():
-            if eid not in config.open_branches:
-                self.backend.fix_var(var, 1.0)
+        self.backend.fix_var(self.v[~np.isin(self.grid.branch_id, list(switchable))], 1.0)
 
     def config_from_solution(self) -> SwitchConfig:
-        open_ids = {eid for eid, var in self.v.items()
-                    if self.backend.value(var) < 0.5}
-        return SwitchConfig(frozenset(open_ids))
+        opened = self.grid.branch_id[self.backend.solution[self.v] < 0.5]
+        return SwitchConfig(frozenset(opened.tolist()))
 
     # -- objectives ---------------------------------------------------------------
 
     def set_loss_objective(self) -> None:
-        coeffs = {self.ll[cid]: self.contingencies[cid].probability
-                  for cid in self.ll}
-        self.backend.set_objective(coeffs, "min")
+        self.backend.set_objective({self.blocks[cid].ll: c.probability
+                                    for cid, c in self.contingencies.items()}, "min")
 
     def set_overload_objective(self) -> None:
-        coeffs = {}
-        for case, slacks in self.ol.items():
-            for var in slacks.values():
-                coeffs[var] = 1.0
-        self.backend.set_objective(coeffs, "min")
+        slacks = np.concatenate([blk.overload for blk in self.blocks.values()])
+        self.backend.set_objective(dict.fromkeys(slacks.tolist(), 1.0), "min")
 
     def set_opening_objective(self) -> None:
-        coeffs = {var: -1.0 for var in self.v.values()}
-        self.backend.set_objective(coeffs, "min", constant=float(len(self.v)))
+        self.backend.set_objective(dict.fromkeys(self.v.tolist(), -1.0), "min",
+                                   constant=float(self.v.size))
 
     # -- lazy cutset separation ------------------------------------------------------
 
@@ -328,13 +312,14 @@ class OtsdModel:
         """
         grid, be = self.grid, self.backend
         x = be.solution
-        closed = x[self._v_cols] > 0.5
+        closed = x[self.v] > 0.5
         by_id = np.argsort(grid.bus_id, kind="stable")  # bus indexes in bus-id order
         added: list[tuple] = []
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for cid, (live, pi) in self._blocks.items():
+        for cid in self.contingencies:
+            live, pi = self.blocks[cid].live, self.blocks[cid].pi
             labels = graph_ops.component_labels(grid, closed & live)
             stranded = by_id[(labels[by_id] != labels[grid.ref_idx])
                              & (x[pi[by_id]] > SEPARATION_TOL)]
@@ -344,7 +329,7 @@ class OtsdModel:
                 if key in self._cutset_registry:
                     continue
                 # pi[bus] <= sum of v over the cut's branches still in service
-                frontier = self._v_cols[ks[live[ks]]]
+                frontier = self.v[ks[live[ks]]]
                 rows += [len(added)] * (1 + len(frontier))
                 cols += [pi[i], *frontier]
                 vals += [1.0] + [-1.0] * len(frontier)
@@ -368,31 +353,31 @@ class OtsdModel:
                 return status
             if not self.separate_cutsets():
                 return status
-            self.backend.set_warm_start(
-                {i: self.backend.value(i) for i in range(self.backend.n_vars)})
         return status
 
     # -- solution extraction -------------------------------------------------------
 
     def base_flow_values(self) -> dict[int, float]:
-        return {eid: self.backend.value(var)
-                for eid, var in self.flow[BASE_CASE].items()}
+        return self.flow_values(BASE_CASE)
 
-    def flow_values(self, cid: int) -> dict[int, float]:
-        return {eid: self.backend.value(var) for eid, var in self.flow[cid].items()}
+    def flow_values(self, case: int | None) -> dict[int, float]:
+        x = self.backend.solution[self.blocks[case].flow]
+        return dict(zip(self.grid.branch_id.tolist(), x.tolist()))
 
     def pi_values(self, cid: int) -> dict[int, float]:
-        return {bus: self.backend.value(var) for bus, var in self.pi[cid].items()}
+        x = self.backend.solution[self.blocks[cid].pi]
+        return dict(zip(self.grid.bus_id.tolist(), x.tolist()))
 
     def sigma_value(self, cid: int) -> float:
-        return self.backend.value(self.sigma[cid])
+        return self.backend.value(self.blocks[cid].sigma)
 
     def ll_value(self, cid: int) -> float:
-        return self.backend.value(self.ll[cid])
+        return self.backend.value(self.blocks[cid].ll)
 
     def overload_values(self, case: int | None) -> dict[int, float]:
-        return {eid: self.backend.value(var)
-                for eid, var in self.ol.get(case, {}).items()}
+        blk = self.blocks[case]
+        x = self.backend.solution[blk.overload]
+        return dict(zip(self.grid.branch_id[blk.overload_branch].tolist(), x.tolist()))
 
 
 # -- module-level operations ---------------------------------------------------------
@@ -407,14 +392,13 @@ def build_base_case(grid: Grid, bigm: BigMConfig | None = None,
 
 
 def solve_extensive(grid: Grid, contingencies: ContingencySet,
-                    bigm: BigMConfig | None = None,
                     backend_factory=None,
                     time_limit: float | None = None) -> SolveResult:
     """The full extensive program: every contingency block, hard limits,
     probability-weighted loss-of-load objective, lazy cutsets to fixpoint."""
     start = time.monotonic()
     factory = backend_factory or ScipyHighsBackend
-    model = build_base_case(grid, bigm, factory())
+    model = build_base_case(grid, backend=factory())
     for c in contingencies:
         model.add_contingency_block(c, ENFORCE)
     model.set_loss_objective()
@@ -455,18 +439,19 @@ class FixedConfigResult:
 
 
 def fixed_config_flows(grid: Grid, config: SwitchConfig, contingencies: ContingencySet,
-                       backend_factory=None,
-                       bigm: BigMConfig | None = None) -> FixedConfigResult:
+                       backend_factory=None) -> FixedConfigResult:
     """Security-analysis program: thermal limits omitted, binaries fixed.
 
     Solved per contingency (one base block plus one contingency block each,
     independent models) with cutset separation to the fixpoint, so the
-    energization values match graph connectivity exactly. Without an explicit
-    bound configuration the state-containing bounds are used, never the
-    optimization defaults: an oracle must not clip feasible states.
+    energization values match graph connectivity exactly. The
+    state-containing bounds of ``security_program_bounds`` are used, never
+    the optimization defaults: an oracle must not clip feasible states.
+    Flows, energization and sigma are read off each model's column records
+    as dicts by branch or bus id.
     """
     factory = backend_factory or ScipyHighsBackend
-    bigm = bigm or security_program_bounds(grid)
+    bigm = security_program_bounds(grid)
     base_flows: dict[int, float] | None = None
     states: dict[int, FixedContingencyState] = {}
     for c in contingencies:
@@ -502,14 +487,11 @@ class ReduceViolationsResult:
     overloads: dict[int | None, dict[int, float]]
     objective: float | None
     status: Status
-    values: dict[int, float] = field(default_factory=dict)  # warm start for next round
 
 
 def reduce_violations(grid: Grid, working: list[Contingency], switchable,
-                      warm_start: dict[int, float] | None = None,
                       backend_factory=None, time_limit: float | None = None,
-                      tolerance: float = 1e-6,
-                      bigm: BigMConfig | None = None) -> ReduceViolationsResult:
+                      tolerance: float = 1e-6) -> ReduceViolationsResult:
     """Minimize total thermal overload over the working cases.
 
     The base case rides along as a permanent pseudo-case with its own slacks.
@@ -517,13 +499,11 @@ def reduce_violations(grid: Grid, working: list[Contingency], switchable,
     excepted, which the trip mask already handles).
     """
     factory = backend_factory or ScipyHighsBackend
-    model = build_base_case(grid, bigm, factory(), base_thermal=RELAX)
+    model = build_base_case(grid, backend=factory(), base_thermal=RELAX)
     for c in working:
         model.add_contingency_block(c, RELAX)
     model.force_closed_outside(switchable)
     model.set_overload_objective()
-    if warm_start:
-        model.backend.set_warm_start(warm_start)
     status = model.solve_with_separation(time_limit)
     if not status.has_solution:
         return ReduceViolationsResult(config=None, residual=set(), overloads={},
@@ -531,21 +511,19 @@ def reduce_violations(grid: Grid, working: list[Contingency], switchable,
 
     overloads: dict[int | None, dict[int, float]] = {}
     residual: set[int | None] = set()
-    for case in model.ol:
+    for case in model.blocks:
         vals = {eid: v for eid, v in model.overload_values(case).items()
                 if v > tolerance}
         if vals:
             overloads[case] = vals
             residual.add(case)
-    values = {i: model.backend.value(i) for i in range(model.backend.n_vars)}
     return ReduceViolationsResult(
         config=model.config_from_solution(), residual=residual, overloads=overloads,
-        objective=model.backend.objective_value, status=status, values=values)
+        objective=model.backend.objective_value, status=status)
 
 
 def remove_unnecessary_openings(grid: Grid, vfsol: SwitchConfig,
                                 working: list[Contingency], backend_factory=None,
-                                bigm: BigMConfig | None = None,
                                 time_limit: float | None = None) -> SwitchConfig:
     """Re-close as many branches of ``vfsol`` as the working cases allow.
 
@@ -554,10 +532,10 @@ def remove_unnecessary_openings(grid: Grid, vfsol: SwitchConfig,
     cannot be infeasible.
     """
     factory = backend_factory or ScipyHighsBackend
-    model = build_base_case(grid, bigm, factory(), base_thermal=ENFORCE)
+    model = build_base_case(grid, backend=factory(), base_thermal=ENFORCE)
     for c in working:
         model.add_contingency_block(c, ENFORCE)
-    model.require_at_least(vfsol)
+    model.force_closed_outside(vfsol.open_branches)
     model.set_opening_objective()
     status = model.solve_with_separation(time_limit)
     if not status.has_solution:

@@ -78,15 +78,6 @@ def test_incremental_constraint_addition_reentrant():
     assert be.value(x) == pytest.approx(3.0)
 
 
-def test_warm_start_accepted_without_effect():
-    be = ScipyHighsBackend()
-    x = be.add_binary()
-    be.set_objective({x: -1})
-    be.set_warm_start({x: 0.0})
-    assert be.solve() is Status.OPTIMAL
-    assert be.value(x) == pytest.approx(1.0)
-
-
 def test_deterministic_repeat_solves():
     def run():
         be = ScipyHighsBackend()

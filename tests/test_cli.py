@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from otsd import dc_engine
 from otsd.cli import RunConfig, cmd_bench, cmd_check, cmd_solve, main
 
 from conftest import case_path
@@ -158,6 +159,19 @@ def test_check_with_open_branch_shows_deenergization(mini_case):
     code = cmd_check(RunConfig(case=mini_case, open_branches=(3,)), out=out)
     assert code == 0
     assert "loss of load" in out.getvalue() or "de-energized" in out.getvalue()
+
+
+def test_all_closed_commands_factorize_once(mini_case, monkeypatch):
+    """The structural risk and the screen of an all-closed configuration
+    share one analyzer, so its PTDF is built once per command."""
+    calls = []
+    ptdf = dc_engine._ptdf
+    monkeypatch.setattr(dc_engine, "_ptdf", lambda *a: calls.append(1) or ptdf(*a))
+    assert cmd_check(RunConfig(case=mini_case, tlf=2.0), out=io.StringIO()) == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, _, _ = run_solve(RunConfig(case=mini_case, tlf=2.0, algorithm="security-only"))
+    assert code == 0 and len(calls) == 1
 
 
 def test_bench_runs_manifest(tmp_path, mini_case):

@@ -181,9 +181,10 @@ def test_bigm_soundness_on_solution():
     model.set_loss_objective()
     model.fix_config(res.config)
     assert model.solve_with_separation().has_solution
-    theta = {b: model.backend.value(v) for b, v in model.theta[BASE_CASE].items()}
+    base, x = model.blocks[BASE_CASE], model.backend.solution
+    theta = dict(zip(grid.bus_ids(), x[base.theta]))
     for e in grid.branches:
-        f = model.backend.value(model.flow[BASE_CASE][e.id])
+        f = x[base.flow[grid.branch_index(e.id)]]
         if e.id in res.config.open_branches:
             assert abs(f) < 1e-7
         else:
@@ -340,9 +341,9 @@ def _program_digest(monkeypatch, run, call: int) -> str:
 
 
 def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
-    """Column order, row order and coefficients of four programs are fixed:
-    any change to them moves HiGHS's search path. The last is the re-solve
-    after the first cutset round of the balanced-island toy."""
+    """Column order, row order and coefficients of five programs are fixed:
+    any change to them moves HiGHS's search path. One is the re-solve after
+    the first cutset round of the balanced-island toy."""
     cons = n_minus_1_contingencies(grid14)
     working = [cons.by_id(1), cons.by_id(7), cons.by_id(14)]
     island = balanced_island_grid()
@@ -356,6 +357,8 @@ def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
             ContingencySet(cases=(cons.by_id(12),))), 0),
         "after_cutsets": (lambda: fixed_config_flows(
             island, SwitchConfig.all_closed(), ContingencySet(cases=(bridge_trip,))), 1),
+        "remove_unnecessary_openings": (lambda: remove_unnecessary_openings(
+            grid14, SwitchConfig.with_open([3, 5, 10]), working), 0),
     }
     got = {name: _program_digest(monkeypatch, run, call)
            for name, (run, call) in programs.items()}
@@ -364,4 +367,6 @@ def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
         "reduce_violations": "2cd554f6856414b445b701862f259ae4bb9addf2595ee3194890dc0f1a392979",
         "fixed_config_flows": "cdf87f1ce8927ea8072a211a973618a402b1350f58ce8162ed19ef516d0e0c8e",
         "after_cutsets": "6ef7d88db60090c5e8756afe307cde9c896f674d5880ff3c3130560acbaab6ac",
+        "remove_unnecessary_openings":
+            "17b0f8fba5c629fd3e32a021543f0d8df10952f86ac0a70e76d5f22d1fd8ade5",
     }
