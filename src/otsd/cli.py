@@ -67,9 +67,10 @@ def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
     grid = _load_grid(config)
     contingencies = n_minus_1_contingencies(grid, config.prob_convention)
     # the structural risk is the all-closed screen's objective; one analyzer
-    # serves it and the screen of --open, so all-closed factorizes once
+    # serves it and the screen of --open, which reuses it when nothing is open
     analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
-    sr = analyzer.analyze(SwitchConfig.all_closed()).total_objective
+    all_closed = analyzer.analyze(SwitchConfig.all_closed())
+    sr = all_closed.total_objective
 
     if config.algorithm == "heuristic":
         params = heuristic.HeuristicParams(
@@ -82,7 +83,7 @@ def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
     else:  # security-only
         t0 = time.monotonic()
         cfg = SwitchConfig.with_open(config.open_branches)
-        report = analyzer.analyze(cfg)
+        report = analyzer.analyze(cfg) if cfg.open_branches else all_closed
         elapsed = (time.monotonic() - t0) * 1000.0
         status = SolveStatus.FEASIBLE if report.clean else SolveStatus.INFEASIBLE
         result = SolveResult(
@@ -144,8 +145,9 @@ def cmd_check(config: RunConfig, out=None, err=None) -> int:
         contingencies = n_minus_1_contingencies(grid, config.prob_convention)
         cfg = SwitchConfig.with_open(config.open_branches)
         analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
-        sr = analyzer.analyze(SwitchConfig.all_closed()).total_objective
-        report = analyzer.analyze(cfg)
+        all_closed = analyzer.analyze(SwitchConfig.all_closed())
+        sr = all_closed.total_objective
+        report = analyzer.analyze(cfg) if cfg.open_branches else all_closed
     except (OtsdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR

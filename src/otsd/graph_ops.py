@@ -1,11 +1,12 @@
 """Graph questions on the branch/bus structure, answered by two primitives.
 
 ``component_labels`` labels the bus components of any set of closed
-branches with one sparse ``connected_components`` call; energized areas,
-disconnection cutsets and the components of a power flow are read off its
-labels. Hop neighbourhoods and the line-graph diameter are shortest paths on
-the line graph each ``Grid`` builds once. ``find_bridges`` keeps its own
-lowlink pass as an independent check of the PTDF bridge test.
+branches (or of several sets at once) with one sparse
+``connected_components`` call; energized areas, disconnection cutsets and
+the components of a power flow are read off its labels. Hop neighbourhoods
+and the line-graph diameter are read off the line-graph distances each
+``Grid`` computes once, on first use. ``find_bridges`` keeps its own lowlink
+pass as an independent check of the PTDF bridge test.
 
 The public functions speak external bus/branch ids and take the set of
 closed (or open) branches explicitly, so callers can evaluate arbitrary
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from .grid import Grid
 
@@ -43,15 +44,25 @@ def component_labels(grid: Grid, closed) -> np.ndarray:
     """Component label of every bus index in the subgraph of closed branches.
 
     ``closed`` selects branches by internal index: a boolean mask or an
-    index array.
+    index array. A 2-d boolean mask holds one selection per row and gets one
+    row of labels each, from one labelling of the block-diagonal graph of all
+    rows (a label never repeats across rows).
     """
-    o, d, n = grid.origin_idx[closed], grid.dest_idx[closed], grid.n_buses
+    n, count, by_block = grid.n_buses, 1, np.ndim(closed) == 2
+    if by_block:
+        count = len(closed)
+        block, ks = np.nonzero(closed)
+        o, d = grid.origin_idx[ks] + n * block, grid.dest_idx[ks] + n * block
+    else:
+        o, d = grid.origin_idx[closed], grid.dest_idx[closed]
+    size = n * count
     # origin -> destination adjacency, assembled in CSR form directly (half
     # the cost of a COO conversion); its weak components are the bus components
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(o, minlength=n))))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(o, minlength=size))))
     adjacency = scipy.sparse.csr_array(
-        (np.ones(len(o)), d[np.argsort(o, kind="stable")], indptr), shape=(n, n))
-    return connected_components(adjacency, connection="weak")[1]
+        (np.ones(len(o)), d[np.argsort(o, kind="stable")], indptr), shape=(size, size))
+    labels = connected_components(adjacency, connection="weak")[1]
+    return labels.reshape(count, n) if by_block else labels
 
 
 def component_frontier(grid: Grid, labels: np.ndarray, bus_idx: int) -> np.ndarray:
@@ -139,17 +150,15 @@ def hop(grid: Grid, branch: int, l: int) -> frozenset[int]:
     """Branches within line-graph distance ``l`` of ``branch``.
 
     Two branches are adjacent when they share a bus; hop(e, 0) = {e} and the
-    result grows monotonically with ``l``. A breadth-first search on the
-    grid's line graph, stopped at depth ``l``.
+    result grows monotonically with ``l``. One row of the grid's line-graph
+    distances, compared with ``l``.
     """
     if l < 0:
         raise ValueError("hop distance must be non-negative")
-    # the line graph is symmetric, so a directed search needs no transpose
-    dist = dijkstra(grid.line_graph, indices=grid.branch_index(branch),
-                    unweighted=True, limit=l)
-    return frozenset(grid.branch_id[dist <= l].tolist())
+    return frozenset(grid.branch_id[grid.line_distances[grid.branch_index(branch)] <= l]
+                     .tolist())
 
 
 def line_graph_diameter(grid: Grid) -> int:
     """Eccentricity bound used to decide when hop saturation proves infeasibility."""
-    return int(shortest_path(grid.line_graph, directed=False, unweighted=True).max())
+    return int(grid.line_distances.max())

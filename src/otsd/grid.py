@@ -8,12 +8,13 @@ indexes so the numerical modules can work with arrays.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import DisconnectedCase, MalformedCase
 
@@ -99,7 +100,8 @@ class Grid:
     reference bus must exist. Arrays are ordered by internal index, which
     follows the order of the ``buses`` / ``branches`` sequences.
     ``line_graph`` is the sparse branch x branch adjacency (two branches are
-    adjacent when they share a bus), built once for the hop searches.
+    adjacent when they share a bus), built once; ``line_distances`` holds
+    its hop distances, computed on first use.
     """
 
     def __init__(self, buses: list[Bus], branches: list[Branch], reference_bus: int,
@@ -161,6 +163,11 @@ class Grid:
         line_graph.setdiag(0)
         line_graph.eliminate_zeros()
         self.line_graph = line_graph
+
+    @functools.cached_property
+    def line_distances(self) -> np.ndarray:
+        """Line-graph distance between every pair of branches, by internal index."""
+        return shortest_path(self.line_graph, directed=False, unweighted=True)
 
     def bus_index(self, bus_id: int) -> int:
         return self._bus_pos[bus_id]

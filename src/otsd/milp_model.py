@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,6 +100,29 @@ def _interleave(count: int, *columns) -> np.ndarray:
     return out.ravel()
 
 
+class _ById(Mapping):
+    """Read-only dict of one value array by bus or branch id. It keeps the
+    array and shares the grid's ids, so a solved state takes about a sixth
+    of the memory of a dict of floats."""
+
+    __slots__ = ("_ids", "_index", "_values")
+
+    def __init__(self, ids: np.ndarray, index, values: np.ndarray):
+        self._ids, self._index, self._values = ids, index, values
+
+    def __getitem__(self, key: int) -> float:
+        return float(self._values[self._index(key)])
+
+    def __iter__(self):
+        return iter(self._ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class _Block:
     """Columns of one case (the base case or a contingency), by bus or branch index."""
@@ -113,6 +137,16 @@ class _Block:
     ll: int | None = None  # loss of load
 
 
+@dataclass
+class _Movable:
+    """Rows and flow bounds through which a movable block takes its trip, by branch index."""
+
+    cid: int  # the contingency the block stands for now
+    ohm: np.ndarray  # (branches, 4) Ohm rows
+    coupling: np.ndarray  # (branches, 2) energization-coupling rows
+    flow_bound: np.ndarray  # flow bound of a branch in service
+
+
 class OtsdModel:
     """One backend model holding the base-case block and appended contingency blocks.
 
@@ -123,7 +157,11 @@ class OtsdModel:
     columns by branch index and ``blocks`` one column record per case, so
     every fixing, objective and read-out is one array operation; contingency
     blocks are append-only and cutset constraints are deduplicated through a
-    registry.
+    registry that maps each cutset to its row.
+
+    One contingency block may be movable: ``move_trip`` re-targets it to
+    another contingency through bound changes alone, which a backend holding
+    a live LP applies in place, so the re-solve starts from the last basis.
     """
 
     def __init__(self, grid: Grid, bigm: BigMConfig, backend: ScipyHighsBackend,
@@ -140,7 +178,8 @@ class OtsdModel:
 
         self.blocks: dict[int | None, _Block] = {}
         self.contingencies: dict[int, Contingency] = {}
-        self._cutset_registry: set[tuple] = set()
+        self._cutset_registry: dict[tuple, int] = {}  # (cid, bus, cut) -> row
+        self._movable: _Movable | None = None
 
         self._build_base(base_thermal)
 
@@ -155,15 +194,24 @@ class OtsdModel:
         lb[self.grid.ref_idx] = ub[self.grid.ref_idx] = 0.0
         return self._vars(self.grid.n_buses, lb, ub)
 
+    def _flow_bound(self, thermal: str) -> np.ndarray:
+        if thermal == ENFORCE:
+            return np.minimum(self._big_m, self.grid.limit)
+        return self._big_m
+
     def _flows(self, thermal: str, live: np.ndarray) -> np.ndarray:
         """Flow columns; a tripped branch's flow is fixed at zero."""
-        bound = self._big_m
-        if thermal == ENFORCE:
-            bound = np.minimum(bound, self.grid.limit)
+        bound = self._flow_bound(thermal)
         return self._vars(self.grid.n_branches, np.where(live, -bound, 0.0),
                           np.where(live, bound, 0.0))
 
-    def _add_ohm(self, live: np.ndarray, th: np.ndarray, f: np.ndarray) -> None:
+    def _ohm_bounds(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of the four Ohm rows of each branch in ``ks``, in service."""
+        m = self._big_m[ks]
+        return (_interleave(len(ks), -math.inf, 0.0, -math.inf, -m),
+                _interleave(len(ks), 0.0, math.inf, m, math.inf))
+
+    def _add_ohm(self, live: np.ndarray, th: np.ndarray, f: np.ndarray) -> range:
         """Flow equals susceptance times angle difference when closed, else zero."""
         grid = self.grid
         ks = np.flatnonzero(live)
@@ -171,13 +219,12 @@ class OtsdModel:
         fk, vk = f[ks], self.v[ks]
         tho, thd = th[grid.origin_idx[ks]], th[grid.dest_idx[ks]]
         r = 4 * np.arange(len(ks))
-        self.backend.add_rows(
+        return self.backend.add_rows(
             *_coo((r, fk, 1.0), (r, vk, -m),
                   (r + 1, fk, 1.0), (r + 1, vk, m),
                   (r + 2, thd, b), (r + 2, tho, -b), (r + 2, fk, -1.0), (r + 2, vk, m),
                   (r + 3, thd, b), (r + 3, tho, -b), (r + 3, fk, -1.0), (r + 3, vk, -m)),
-            _interleave(len(ks), -math.inf, 0.0, -math.inf, -m),
-            _interleave(len(ks), 0.0, math.inf, m, math.inf))
+            *self._ohm_bounds(ks))
 
     def _add_thermal(self, thermal: str, live: np.ndarray,
                      f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,13 +270,25 @@ class OtsdModel:
 
     # -- contingency blocks ----------------------------------------------------
 
-    def add_contingency_block(self, c: Contingency, thermal: str = ENFORCE) -> None:
+    def _live(self, c: Contingency) -> np.ndarray:
+        return ~np.isin(self.grid.branch_id, list(c.tripped))
+
+    def add_contingency_block(self, c: Contingency, thermal: str = ENFORCE,
+                              movable: bool = False) -> None:
+        """Append the block of contingency ``c``.
+
+        A tripped branch's flow is fixed at zero, and it has no Ohm,
+        energization-coupling or thermal rows. A movable block has those rows
+        for every branch and frees the tripped branches' Ohm and coupling
+        rows instead, so ``move_trip`` can re-target it by bound changes.
+        """
         if c.id in self.contingencies:
             raise DuplicateContingency(f"contingency {c.id} already instantiated")
         grid, be = self.grid, self.backend
         o, d, n = grid.origin_idx, grid.dest_idx, grid.n_buses
         self.contingencies[c.id] = c
-        live = ~np.isin(grid.branch_id, list(c.tripped))
+        live = self._live(c)
+        rows_for = np.ones_like(live) if movable else live
 
         th = self._angles()
         f = self._flows(thermal, live)
@@ -237,15 +296,15 @@ class OtsdModel:
         pi = self._vars(n, np.arange(n) == grid.ref_idx, 1.0)
         sigma = be.add_var(0.0, self.sigma_max)
 
-        self._add_ohm(live, th, f)
+        ohm = self._add_ohm(rows_for, th, f)
 
         # energization coupling across closed, non-tripped branches
-        ks = np.flatnonzero(live)
+        ks = np.flatnonzero(rows_for)
         po, pd_, vk = pi[o[ks]], pi[d[ks]], self.v[ks]
         r = 2 * np.arange(len(ks))
-        be.add_rows(*_coo((r, po, 1.0), (r, pd_, -1.0), (r, vk, 1.0),
-                          (r + 1, pd_, 1.0), (r + 1, po, -1.0), (r + 1, vk, 1.0)),
-                    -math.inf, np.ones(2 * len(ks)))
+        coupling = be.add_rows(*_coo((r, po, 1.0), (r, pd_, -1.0), (r, vk, 1.0),
+                                     (r + 1, pd_, 1.0), (r + 1, po, -1.0), (r + 1, vk, 1.0)),
+                               -math.inf, np.ones(2 * len(ks)))
 
         # sigma * pi products for generator buses
         gen = np.flatnonzero(grid.pg > 0)
@@ -263,7 +322,7 @@ class OtsdModel:
                           (load, pi[load], -grid.pd[load])),
                     np.zeros(n), np.zeros(n))
 
-        overload, overload_branch = self._add_thermal(thermal, live, f)
+        overload, overload_branch = self._add_thermal(thermal, rows_for, f)
 
         total_pd = grid.total_load
         ll = be.add_var(0.0, total_pd)
@@ -271,6 +330,46 @@ class OtsdModel:
                           (np.zeros(len(load), dtype=int), pi[load], grid.pd[load])),
                     total_pd, total_pd)
         self.blocks[c.id] = _Block(live, th, f, overload, overload_branch, pi, sigma, ll)
+        if movable:
+            self._movable = _Movable(c.id, np.reshape(ohm, (-1, 4)),
+                                     np.reshape(coupling, (-1, 2)), self._flow_bound(thermal))
+            self._free_rows(np.flatnonzero(~live))
+
+    def _free_rows(self, ks: np.ndarray) -> None:
+        """Free the Ohm and coupling rows of the movable block's branches ``ks``."""
+        mv = self._movable
+        self.backend.set_row_bounds(np.concatenate([mv.ohm[ks].ravel(), mv.coupling[ks].ravel()]),
+                                    -math.inf, math.inf)
+
+    def move_trip(self, c: Contingency) -> None:
+        """Re-target the movable block to contingency ``c`` by bound changes.
+
+        The previous trip's branches get their flow bounds and rows back;
+        ``c``'s tripped flows are fixed at zero and their Ohm and coupling
+        rows freed; the cutset rows separated for the previous trip are freed,
+        since a cutset found under one trip can be invalid under another; and
+        the loss-of-load objective moves to ``c``'s probability.
+        """
+        be, mv = self.backend, self._movable
+        blk = self.blocks.pop(mv.cid)
+        del self.contingencies[mv.cid]
+        stale = [key for key in self._cutset_registry if key[0] == mv.cid]
+        be.set_row_bounds([self._cutset_registry.pop(key) for key in stale],
+                          -math.inf, math.inf)
+
+        back = np.flatnonzero(~blk.live)
+        be.set_bounds(blk.flow[back], -mv.flow_bound[back], mv.flow_bound[back])
+        be.set_row_bounds(mv.ohm[back].ravel(), *self._ohm_bounds(back))
+        be.set_row_bounds(mv.coupling[back].ravel(), -math.inf, 1.0)
+
+        live = self._live(c)
+        be.fix_var(blk.flow[~live], 0.0)
+        self._free_rows(np.flatnonzero(~live))
+
+        mv.cid = c.id
+        self.contingencies[c.id] = c
+        self.blocks[c.id] = replace(blk, live=live)
+        self.set_loss_objective()
 
     # -- configuration handling -------------------------------------------------
 
@@ -308,8 +407,11 @@ class OtsdModel:
         energization value while graph-disconnected from the reference, the
         frontier cutset of its component is added; returns the new (cid, bus,
         cutset) triples (empty when the solution is connectivity-consistent).
-        One labelling of the block's closed branches answers every bus.
+        One labelling of the block-diagonal graph of every block's closed
+        branches answers every bus of every block.
         """
+        if not self.contingencies:
+            return []
         grid, be = self.grid, self.backend
         x = be.solution
         closed = x[self.v] > 0.5
@@ -318,9 +420,10 @@ class OtsdModel:
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for cid in self.contingencies:
+        live_by_block = np.array([self.blocks[cid].live for cid in self.contingencies])
+        block_labels = graph_ops.component_labels(grid, closed & live_by_block)
+        for cid, labels in zip(self.contingencies, block_labels):
             live, pi = self.blocks[cid].live, self.blocks[cid].pi
-            labels = graph_ops.component_labels(grid, closed & live)
             stranded = by_id[(labels[by_id] != labels[grid.ref_idx])
                              & (x[pi[by_id]] > SEPARATION_TOL)]
             for i in stranded:
@@ -333,10 +436,10 @@ class OtsdModel:
                 rows += [len(added)] * (1 + len(frontier))
                 cols += [pi[i], *frontier]
                 vals += [1.0] + [-1.0] * len(frontier)
-                self._cutset_registry.add(key)
                 added.append(key)
         if added:
-            be.add_rows(rows, cols, vals, -math.inf, np.zeros(len(added)))
+            new = be.add_rows(rows, cols, vals, -math.inf, np.zeros(len(added)))
+            self._cutset_registry.update(zip(added, new))
         return added
 
     def solve_with_separation(self, time_limit: float | None = None) -> Status:
@@ -357,16 +460,16 @@ class OtsdModel:
 
     # -- solution extraction -------------------------------------------------------
 
-    def base_flow_values(self) -> dict[int, float]:
+    def base_flow_values(self) -> Mapping[int, float]:
         return self.flow_values(BASE_CASE)
 
-    def flow_values(self, case: int | None) -> dict[int, float]:
+    def flow_values(self, case: int | None) -> Mapping[int, float]:
         x = self.backend.solution[self.blocks[case].flow]
-        return dict(zip(self.grid.branch_id.tolist(), x.tolist()))
+        return _ById(self.grid.branch_id, self.grid.branch_index, x)
 
-    def pi_values(self, cid: int) -> dict[int, float]:
+    def pi_values(self, cid: int) -> Mapping[int, float]:
         x = self.backend.solution[self.blocks[cid].pi]
-        return dict(zip(self.grid.bus_id.tolist(), x.tolist()))
+        return _ById(self.grid.bus_id, self.grid.bus_index, x)
 
     def sigma_value(self, cid: int) -> float:
         return self.backend.value(self.blocks[cid].sigma)
@@ -425,8 +528,8 @@ def solve_extensive(grid: Grid, contingencies: ContingencySet,
 
 @dataclass(frozen=True)
 class FixedContingencyState:
-    flows: dict[int, float]
-    pi: dict[int, float]
+    flows: Mapping[int, float]  # by branch id
+    pi: Mapping[int, float]  # by bus id
     sigma: float
     loss_of_load: float
     feasible: bool = True
@@ -434,7 +537,7 @@ class FixedContingencyState:
 
 @dataclass
 class FixedConfigResult:
-    base_flows: dict[int, float]
+    base_flows: Mapping[int, float]
     states: dict[int, FixedContingencyState]
 
 
@@ -442,23 +545,29 @@ def fixed_config_flows(grid: Grid, config: SwitchConfig, contingencies: Continge
                        backend_factory=None) -> FixedConfigResult:
     """Security-analysis program: thermal limits omitted, binaries fixed.
 
-    Solved per contingency (one base block plus one contingency block each,
-    independent models) with cutset separation to the fixpoint, so the
-    energization values match graph connectivity exactly. The
-    state-containing bounds of ``security_program_bounds`` are used, never
-    the optimization defaults: an oracle must not clip feasible states.
-    Flows, energization and sigma are read off each model's column records
-    as dicts by branch or bus id.
+    One program per configuration: the base block plus one movable
+    contingency block, moved from trip to trip by ``OtsdModel.move_trip``
+    and solved for each contingency with cutset separation to the fixpoint,
+    so the energization values match graph connectivity exactly. With every
+    binary fixed the program is an LP, which the backend keeps live, so each
+    contingency re-solves from the last basis. The state-containing bounds
+    of ``security_program_bounds`` are used, never the optimization
+    defaults: an oracle must not clip feasible states. Flows, energization
+    and sigma are read off the model's column records, flows and
+    energization as read-only dicts by branch or bus id.
     """
     factory = backend_factory or ScipyHighsBackend
     bigm = security_program_bounds(grid)
-    base_flows: dict[int, float] | None = None
+    model = build_base_case(grid, bigm, factory(), base_thermal=OMIT)
+    model.fix_config(config)
+    base_flows: Mapping[int, float] | None = None
     states: dict[int, FixedContingencyState] = {}
     for c in contingencies:
-        model = build_base_case(grid, bigm, factory(), base_thermal=OMIT)
-        model.fix_config(config)
-        model.add_contingency_block(c, OMIT)
-        model.set_loss_objective()
+        if model.contingencies:
+            model.move_trip(c)
+        else:
+            model.add_contingency_block(c, OMIT, movable=True)
+            model.set_loss_objective()
         status = model.solve_with_separation()
         if not status.has_solution:
             states[c.id] = FixedContingencyState(flows={}, pi={}, sigma=0.0,

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import kSolutionStatusInfeasible
 
 from otsd import backend
-from otsd.backend import ScipyHighsBackend, Status
+from otsd.backend import HighsModelStatus, ScipyHighsBackend, Status
 
 
 def test_simple_lp():
@@ -162,3 +163,84 @@ def test_add_rows_rejects_out_of_range_entries():
         be.add_rows([0, 1], [x, x], [1, 1], -math.inf, 0.0)  # one bound, two rows
     with pytest.raises(ValueError):
         be.add_rows([0], [x + 1], [1], -math.inf, 0.0)  # no such column
+    be.add_rows([0], [x], [1], -math.inf, 1.0)
+    with pytest.raises(ValueError):
+        be.set_row_bounds([0, 1], -math.inf, 2.0)  # no row 1
+    with pytest.raises(ValueError):
+        be.set_row_bounds(-1, -math.inf, 2.0)
+
+
+def test_live_lp_resolves_match_fresh_backends():
+    """A program whose binaries are all fixed re-solves on one live HiGHS
+    model after every change, and each re-solve equals a fresh backend's
+    solve of the changed program."""
+    def base(be):
+        be.add_vars(3, 0.0, 10.0)
+        (y,) = be.add_vars(1, 0.0, 1.0, binary=True)
+        be.fix_var(y, 1.0)
+        be.add_rows([0, 0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 2, 0, y], [1, 1, 1, 1, -1, 1, -8],
+                    -math.inf, [12.0, 2.0, 0.0])  # ..., x0 <= 8 y
+        be.set_objective({0: -3, 1: -2.2, 2: -1.3})
+
+    def add_column(be):
+        (z,) = be.add_vars(1, 0.0, 2.0)
+        be.add_rows([0, 0], [1, z], [1, 1], -math.inf, 3.0)
+        be.set_objective({0: -3, 1: -2.2, 2: -1.3, z: -4})
+
+    steps = [base,
+             lambda be: be.set_bounds(np.array([0, 1]), 0.0, [5.0, 4.0]),
+             lambda be: be.set_row_bounds(0, -math.inf, 7.0),
+             lambda be: be.add_rows([0, 0], [1, 2], [1.0, 2.0], 5.0, math.inf),
+             add_column,
+             lambda be: be.set_row_bounds([1, 3], -math.inf, math.inf)]
+    live = ScipyHighsBackend()
+    for i, step in enumerate(steps):
+        step(live)
+        fresh = ScipyHighsBackend()
+        for earlier in steps[:i + 1]:
+            earlier(fresh)
+        assert live.solve() is fresh.solve() is Status.OPTIMAL
+        if i == 0:
+            model = live._lp
+        assert live._lp is model  # changed in place, never rebuilt
+        assert live.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
+        np.testing.assert_allclose(live.solution, fresh.solution, atol=1e-9)
+
+
+@pytest.mark.parametrize("stall", ["no verdict", "infeasible optimum"])
+def test_live_lp_stalled_resolve_runs_again_cold(monkeypatch, stall):
+    """A re-solve from the last basis that ends with no verdict, or with an
+    optimum HiGHS finds primal infeasible, is run once more from no basis."""
+    events = []
+    stalled = ["run", "run"]  # the second run is the first re-solve
+
+    class Stalling(backend._Highs):
+        def run(self):
+            events.append("run")
+            return super().run()
+
+        def clearSolver(self):
+            events.append("clear")
+            return super().clearSolver()
+
+        def getModelStatus(self):
+            status = super().getModelStatus()
+            return HighsModelStatus.kUnknown \
+                if stall == "no verdict" and events == stalled else status
+
+        def getInfo(self):
+            info = super().getInfo()
+            if stall == "infeasible optimum" and events == stalled:
+                info.primal_solution_status = kSolutionStatusInfeasible
+            return info
+
+    monkeypatch.setattr(backend, "_Highs", Stalling)
+    be = ScipyHighsBackend()
+    x = be.add_vars(2, 0.0, 10.0)
+    be.add_rows([0, 0], [x[0], x[1]], [1, 2], -math.inf, 4.0)
+    be.set_objective({x[0]: -1, x[1]: -1})
+    assert be.solve() is Status.OPTIMAL
+    be.set_row_bounds(0, -math.inf, 6.0)
+    assert be.solve() is Status.OPTIMAL
+    assert events == ["run", "run", "clear", "run"]
+    assert be.objective_value == pytest.approx(-6.0)

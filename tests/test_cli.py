@@ -174,6 +174,20 @@ def test_all_closed_commands_factorize_once(mini_case, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_all_closed_commands_screen_once(mini_case, monkeypatch):
+    """With nothing open, the screen that gives the structural risk is also
+    the reported one."""
+    calls = []
+    analyze = dc_engine.SecurityAnalyzer.analyze
+    monkeypatch.setattr(dc_engine.SecurityAnalyzer, "analyze",
+                        lambda *a: calls.append(1) or analyze(*a))
+    assert cmd_check(RunConfig(case=mini_case, tlf=2.0), out=io.StringIO()) == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, _, _ = run_solve(RunConfig(case=mini_case, tlf=2.0, algorithm="security-only"))
+    assert code == 0 and len(calls) == 1
+
+
 def test_bench_runs_manifest(tmp_path, mini_case):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(

@@ -214,22 +214,28 @@ def test_solve_extensive_infeasible_instance():
 
 
 def test_fixed_config_flows_matches_engine_states(grid14):
-    cons = n_minus_1_contingencies(grid14)
-    analyzer = SecurityAnalyzer(grid14, cons)
+    """Every state of one configuration's program, moved from trip to trip,
+    is the engine's: a cutset left over from an earlier trip would strand
+    the balanced island's buses under trips 4 and 5."""
     rng = random.Random(3)
-    for _ in range(3):
-        config = random_connected_config(grid14, rng, max_open=3)
-        res = fixed_config_flows(grid14, config, cons)
-        for c in cons:
-            state = res.states[c.id]
-            eng = analyzer.contingency_state(config, c)
-            if not state.feasible or eng.unbalanceable:
-                continue
-            assert state.sigma == pytest.approx(eng.sigma, abs=1e-8)
-            assert state.loss_of_load == pytest.approx(eng.loss_of_load, abs=1e-9)
-            for e in grid14.branches:
-                k = grid14.branch_index(e.id)
-                assert state.flows[e.id] == pytest.approx(eng.flows[k], abs=1e-6)
+    cases = [(grid14, [random_connected_config(grid14, rng, max_open=3) for _ in range(3)]),
+             (balanced_island_grid(), [SwitchConfig.all_closed()])]
+    for grid, configs in cases:
+        cons = n_minus_1_contingencies(grid)
+        analyzer = SecurityAnalyzer(grid, cons)
+        for config in configs:
+            res = fixed_config_flows(grid, config, cons)
+            for c in cons:
+                state = res.states[c.id]
+                eng = analyzer.contingency_state(config, c)
+                assert state.feasible == (not eng.unbalanceable), (grid.name, config, c.id)
+                if not state.feasible:
+                    continue
+                assert state.sigma == pytest.approx(eng.sigma, abs=1e-8)
+                assert state.loss_of_load == pytest.approx(eng.loss_of_load, abs=1e-9)
+                for e in grid.branches:
+                    k = grid.branch_index(e.id)
+                    assert state.flows[e.id] == pytest.approx(eng.flows[k], abs=1e-6)
 
 
 def test_reduce_violations_zero_objective_is_feasible():
@@ -312,38 +318,57 @@ class _Recorded(Exception):
 
 
 def _program_digest(monkeypatch, run, call: int) -> str:
-    """sha256 of every array the ``milp`` call number ``call`` of ``run``
-    receives; the calls before it are solved."""
+    """sha256 of every array HiGHS receives at solve number ``call`` of
+    ``run``: the arguments of a ``milp`` call, or the live LP at ``run``
+    (column-wise, from ``getLp``); the solves before it go ahead."""
     digest = hashlib.sha256()
     solve = backend.milp
     solved = []
+
+    def update(c, integrality, lb, ub, a, row_lb, row_ub):
+        assert a.has_sorted_indices
+        for arr in (c, integrality, lb, ub):
+            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        for arr in (a.shape, a.indptr, a.indices):
+            digest.update(np.asarray(arr, dtype=np.int64).tobytes())
+        for arr in (a.data, row_lb, row_ub):
+            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        raise _Recorded
 
     def record(*, c, constraints, integrality, bounds, options):
         if len(solved) < call:
             solved.append(call)
             return solve(c=c, constraints=constraints, integrality=integrality,
                          bounds=bounds, options=options)
-        for arr in (c, integrality, bounds.lb, bounds.ub):
-            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-        for con in constraints:
-            a = scipy.sparse.csc_array(con.A)
-            assert a.has_sorted_indices
-            for arr in (a.shape, a.indptr, a.indices):
-                digest.update(np.asarray(arr, dtype=np.int64).tobytes())
-            for arr in (a.data, con.lb, con.ub):
-                digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-        raise _Recorded
+        (con,) = constraints
+        update(c, integrality, bounds.lb, bounds.ub, scipy.sparse.csc_array(con.A),
+               con.lb, con.ub)
+
+    class RecordedHighs(backend._Highs):
+        def run(self):
+            if len(solved) < call:
+                solved.append(call)
+                return super().run()
+            self.ensureColwise()
+            lp = self.getLp()
+            m = lp.a_matrix_
+            a = scipy.sparse.csc_array((m.value_, m.index_, m.start_),
+                                       shape=(lp.num_row_, lp.num_col_))
+            update(lp.col_cost_, lp.integrality_, lp.col_lower_, lp.col_upper_, a,
+                   lp.row_lower_, lp.row_upper_)
 
     with monkeypatch.context() as patch, pytest.raises(_Recorded):
         patch.setattr(backend, "milp", record)
+        patch.setattr(backend, "_Highs", RecordedHighs)
         run()
     return digest.hexdigest()
 
 
 def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
     """Column order, row order and coefficients of five programs are fixed:
-    any change to them moves HiGHS's search path. One is the re-solve after
-    the first cutset round of the balanced-island toy."""
+    any change to them moves HiGHS's search path. The two
+    ``fixed_config_flows`` programs are live LPs, one of them the re-solve
+    after the first cutset round of the balanced-island toy."""
     cons = n_minus_1_contingencies(grid14)
     working = [cons.by_id(1), cons.by_id(7), cons.by_id(14)]
     island = balanced_island_grid()
@@ -365,8 +390,8 @@ def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
     assert got == {
         "extensive": "49c1d2feaa05b8e8171cab5d8e0f45f48fcb52e221c205b90f28b5ecfa8630f5",
         "reduce_violations": "2cd554f6856414b445b701862f259ae4bb9addf2595ee3194890dc0f1a392979",
-        "fixed_config_flows": "cdf87f1ce8927ea8072a211a973618a402b1350f58ce8162ed19ef516d0e0c8e",
-        "after_cutsets": "6ef7d88db60090c5e8756afe307cde9c896f674d5880ff3c3130560acbaab6ac",
+        "fixed_config_flows": "66ee04fda7a7bda1a85d867b87b1775f337add97c4b8a84837ade5181cd78f64",
+        "after_cutsets": "115fad002972d7449c5c65ce1f14d4d155865567a89482fdb59f977e7058c052",
         "remove_unnecessary_openings":
             "17b0f8fba5c629fd3e32a021543f0d8df10952f86ac0a70e76d5f22d1fd8ade5",
     }
