@@ -3,18 +3,23 @@
 The contract is the only seam to third-party solvers: variables with bounds,
 binaries, linear constraints, a linear objective, column and row bound
 changes, and a time-limited solve with status/value queries. The bundled
-adapter runs HiGHS as scipy ships it, on two paths chosen per solve:
+adapter keeps each program as one live HiGHS model (the ``_Highs`` class
+scipy ships). The model is created at the first solve from the stacked
+arrays, integrality included, and every later change is applied to it in
+place (``addVars`` with ``changeColsIntegrality`` for new binaries,
+``addRows``, ``changeColsBounds``, ``changeColsCost``, ``changeRowBounds``).
+Each solve picks how HiGHS runs it:
 
-- a program with a free binary is a MIP and goes through
-  ``scipy.optimize.milp``, rebuilt from the stacked arrays at every solve;
-- a program whose binaries are all fixed (``lb == ub``) is an LP. It runs on
-  one live HiGHS model, created at the first such solve and changed in place
-  after it (``addVars``, ``addRows``, ``changeColsBounds``,
-  ``changeColsCost``, ``changeRowBounds``), so every later LP re-solve
-  starts from the previous basis (a re-solve that ends with no verdict, or
-  with an optimum HiGHS finds primal infeasible, is run once more from no
-  basis). Its statuses map as ``milp`` maps them for a program without
-  integer columns.
+- a program with a free binary runs as a MIP from a cleared solver, so every
+  MIP solve starts with no basis and no incumbent, as on a new model;
+- a program whose binaries are all fixed (``lb == ub``) runs as its LP
+  relaxation (``solve_relaxation``) and re-solves from the previous basis; a
+  re-solve that ends with no verdict, or with an optimum HiGHS finds primal
+  infeasible, is run once more from no basis.
+
+Statuses map as ``scipy.optimize.milp`` maps them: a MIP that hits a limit
+holding an incumbent is FEASIBLE, while an LP carries a solution only when
+optimal.
 
 Variables and rows enter in blocks of numpy arrays: ``add_vars`` appends a
 range of columns with their bounds, ``add_rows`` a block of rows in
@@ -23,7 +28,7 @@ with a block of one. Bound changes take one column (row) or an array of
 them, and ``solution`` holds the value of every column.
 
 Determinism: HiGHS runs single-threaded here and is deterministic for a fixed
-model and, on the LP path, a fixed sequence of changes.
+model and a fixed sequence of changes.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ import math
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+# nothing here calls milp; perfbench/tracer.py wraps this name
+from scipy.optimize import milp  # noqa: F401
 # HiGHS bindings that scipy.optimize itself loads for milp and linprog
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                           MatrixFormat, _Highs, kSolutionStatusFeasible)
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, HighsVarType,
+                                           MatrixFormat, _Highs, kHighsInf,
+                                           kSolutionStatusFeasible)
 
 
 class Status(enum.Enum):
@@ -52,10 +59,9 @@ class Status(enum.Enum):
         return self in (Status.OPTIMAL, Status.FEASIBLE)
 
 
-# as scipy.optimize.milp maps HiGHS model statuses for a program without
-# integer columns: only an optimal LP carries a solution, so a limit hit is a
-# timeout; anything unlisted is an error
-_LP_STATUS = {
+# as scipy.optimize.milp maps HiGHS model statuses; a limit hit is a timeout
+# unless a MIP holds an incumbent (``_run``), and anything unlisted is an error
+_STATUS = {
     HighsModelStatus.kOptimal: Status.OPTIMAL,
     HighsModelStatus.kTimeLimit: Status.TIMEOUT,
     HighsModelStatus.kIterationLimit: Status.TIMEOUT,
@@ -73,14 +79,14 @@ def _stacked(chunks: list[np.ndarray]) -> np.ndarray:
 
 
 class ScipyHighsBackend:
-    """Incremental model builder solved through scipy's HiGHS.
+    """Incremental model builder solved on one live HiGHS model.
 
     Column bounds, integrality and the rows (COO triples with global row
     numbers, plus row bounds) are kept as lists of numpy chunks, one per
-    block added. A MIP solve stacks each list into one array and hands
-    ``milp`` one CSC matrix with sorted indices, which keeps the builder
-    re-entrant after row additions and bound changes. Once the live LP
-    exists, every change is applied to it as well.
+    block added, and stay the build buffer: the first solve stacks each list
+    into one array and hands HiGHS one CSC matrix with sorted indices. From
+    then on every change is applied to the live model as well as to the
+    arrays, which rebuild the model if HiGHS ever refuses a change.
     """
 
     def __init__(self):
@@ -97,7 +103,7 @@ class ScipyHighsBackend:
         self._obj: dict[int, float] = {}
         self._obj_const = 0.0
         self._sense = 1.0  # +1 minimize, -1 maximize
-        self._lp: _Highs | None = None  # the live LP, from the first LP solve on
+        self._model: _Highs | None = None  # the live model, from the first solve on
         self._status = Status.ERROR
         self._x: np.ndarray | None = None
         self._objective_value: float | None = None
@@ -112,8 +118,11 @@ class ScipyHighsBackend:
         self._integrality.append(np.full(count, int(binary), dtype=np.int64))
         start = self._n_vars
         self._n_vars += count
-        if self._lp is not None:
-            self._applied(self._lp.addVars(count, lb, ub))
+        if self._model is not None:
+            self._applied(self._model.addVars(count, lb, ub))
+        if binary and self._model is not None:
+            self._applied(self._model.changeColsIntegrality(
+                count, np.arange(start, self._n_vars), np.ones(count, dtype=np.uint8)))
         return range(start, self._n_vars)
 
     def add_rows(self, rows, cols, vals, lb, ub) -> range:
@@ -141,10 +150,10 @@ class ScipyHighsBackend:
         self._row_ub.append(row_ub)
         start = self._n_rows
         self._n_rows += count
-        if self._lp is not None:
+        if self._model is not None:
             a = scipy.sparse.csr_array((vals, (rows, cols)), shape=(count, self._n_vars))
-            self._applied(self._lp.addRows(count, row_lb, row_ub, a.nnz, a.indptr[:-1],
-                                           a.indices, a.data))
+            self._applied(self._model.addRows(count, row_lb, row_ub, a.nnz, a.indptr[:-1],
+                                              a.indices, a.data))
         return range(start, self._n_rows)
 
     def add_var(self, lb: float = -math.inf, ub: float = math.inf) -> int:
@@ -169,19 +178,19 @@ class ScipyHighsBackend:
         self._obj = dict(coeffs)
         self._obj_const = constant
         self._sense = 1.0 if sense == "min" else -1.0
-        if self._lp is not None:
+        if self._model is not None:
             c = self._cost()
-            self._applied(self._lp.changeColsCost(c.size, np.arange(c.size), c))
+            self._applied(self._model.changeColsCost(c.size, np.arange(c.size), c))
 
     def set_bounds(self, var: int | np.ndarray, lb, ub) -> None:
         """Bounds of column ``var``, or of an array of columns (scalars broadcast)."""
         col_lb, col_ub = _stacked(self._lb), _stacked(self._ub)
         col_lb[var] = lb
         col_ub[var] = ub
-        if self._lp is not None:
+        if self._model is not None:
             cols = np.atleast_1d(var)
-            self._applied(self._lp.changeColsBounds(cols.size, cols, col_lb[cols],
-                                                    col_ub[cols]))
+            self._applied(self._model.changeColsBounds(cols.size, cols, col_lb[cols],
+                                                       col_ub[cols]))
 
     def set_row_bounds(self, rows: int | np.ndarray, lb, ub) -> None:
         """Bounds of row ``rows``, or of an array of rows (scalars broadcast);
@@ -192,9 +201,9 @@ class ScipyHighsBackend:
         row_lb, row_ub = _stacked(self._row_lb), _stacked(self._row_ub)
         row_lb[rows] = lb
         row_ub[rows] = ub
-        if self._lp is not None:
+        if self._model is not None:
             for r in rows.tolist():
-                self._applied(self._lp.changeRowBounds(r, row_lb[r], row_ub[r]))
+                self._applied(self._model.changeRowBounds(r, row_lb[r], row_ub[r]))
 
     def fix_var(self, var: int | np.ndarray, value) -> None:
         self.set_bounds(var, value, value)
@@ -224,92 +233,65 @@ class ScipyHighsBackend:
             shape=(self._n_rows, self._n_vars))
 
     def _applied(self, status: HighsStatus) -> None:
-        """Drop the live LP when HiGHS refuses a change to it; the next LP
+        """Drop the live model when HiGHS refuses a change to it; the next
         solve rebuilds it from the arrays."""
         if status == HighsStatus.kError:
-            self._lp = None
+            self._model = None
 
     def solve(self, time_limit: float | None = None) -> Status:
+        """Solve on the live model: as a MIP from a cleared solver while a
+        binary is free, else as its LP relaxation (fixed binaries are columns
+        with equal bounds) from the last basis."""
         integer = _stacked(self._integrality) == 1
-        if np.array_equal(_stacked(self._lb)[integer], _stacked(self._ub)[integer]):
-            x, fun = self._solve_lp(time_limit)
-        else:
-            x, fun = self._solve_mip(time_limit)
-        self._x = x
-        self._objective_value = None
-        if x is not None:
-            self._objective_value = float(self._sense * fun + self._obj_const)
-        return self._status
-
-    def _solve_mip(self, time_limit: float | None):
-        c = self._cost()
-        constraints = []
-        if self._n_rows:
-            constraints = [LinearConstraint(self._matrix(), _stacked(self._row_lb),
-                                            _stacked(self._row_ub))]
-        options: dict = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-
-        res = milp(c=c, constraints=constraints, integrality=_stacked(self._integrality),
-                   bounds=Bounds(_stacked(self._lb), _stacked(self._ub)), options=options)
-
-        if res.status == 0:
-            self._status = Status.OPTIMAL
-        elif res.status == 1:
-            self._status = Status.FEASIBLE if res.x is not None else Status.TIMEOUT
-        elif res.status == 2:
-            self._status = Status.INFEASIBLE
-        elif res.status == 3:
-            self._status = Status.UNBOUNDED
-        else:
-            self._status = Status.ERROR
-        if res.x is None:
-            return None, None
-        x = np.asarray(res.x)
-        return x, res.fun if res.fun is not None else c @ x
-
-    def _solve_lp(self, time_limit: float | None):
-        """Solve on the live LP with no integer columns (fixed binaries are
-        continuous columns with equal bounds), starting from its last basis."""
-        warm = self._lp is not None
+        mip = not np.array_equal(_stacked(self._lb)[integer], _stacked(self._ub)[integer])
+        self._x = self._objective_value = None
+        warm = self._model is not None
         if not warm:
-            self._lp = self._new_lp()
-            if self._lp is None:  # as milp reports a model HiGHS fails to load
+            self._model = self._new_model()
+            if self._model is None:  # as milp reports a model HiGHS fails to load
                 self._status = Status.INFEASIBLE
-                return None, None
-        lp = self._lp
-        lp.setOptionValue("time_limit", math.inf if time_limit is None else float(time_limit))
-        ran = self._run_lp()
-        if warm and (self._status is Status.ERROR or (
+                return self._status
+        model = self._model
+        model.setOptionValue("solve_relaxation", not mip)
+        model.setOptionValue("time_limit", math.inf if time_limit is None else float(time_limit))
+        if warm and mip:
+            model.clearSolver()  # no basis and no start: each MIP runs as on a new model
+        ran = self._run(mip)
+        if warm and not mip and (self._status is Status.ERROR or (
                 self._status is Status.OPTIMAL
-                and lp.getInfo().primal_solution_status != kSolutionStatusFeasible)):
+                and model.getInfo().primal_solution_status != kSolutionStatusFeasible)):
             # from the last basis a re-solve of these big-M programs can stop
             # with no verdict, or with an optimum HiGHS itself finds primal
             # infeasible (residuals of 3e-6 to 9e-5 on a 118-bus security
             # program, flows off by 2e-6); run it once more from no basis, as
             # milp runs every program
-            lp.clearSolver()
-            ran = self._run_lp()
-        if not ran or self._status is not Status.OPTIMAL:
-            return None, None
-        return np.array(lp.getSolution().col_value), lp.getInfo().objective_function_value
+            model.clearSolver()
+            ran = self._run(mip)
+        if ran and self._status.has_solution:
+            self._x = np.array(model.getSolution().col_value)
+            self._objective_value = float(
+                self._sense * model.getInfo().objective_function_value + self._obj_const)
+        return self._status
 
-    def _run_lp(self) -> bool:
-        """Run the live LP and take its status; False when HiGHS reports an error."""
-        ran = self._lp.run() != HighsStatus.kError
-        self._status = _LP_STATUS.get(self._lp.getModelStatus(), Status.ERROR)
+    def _run(self, mip: bool) -> bool:
+        """Run the live model and take its status; False when HiGHS reports
+        an error. A MIP that hits a limit holding an incumbent is FEASIBLE."""
+        ran = self._model.run() != HighsStatus.kError
+        self._status = _STATUS.get(self._model.getModelStatus(), Status.ERROR)
+        if (mip and self._status is Status.TIMEOUT
+                and self._model.getInfo().objective_function_value != kHighsInf):
+            self._status = Status.FEASIBLE
         return ran
 
-    def _new_lp(self) -> _Highs | None:
-        """A HiGHS model of the stacked arrays, integrality left out; None
-        when HiGHS refuses it."""
+    def _new_model(self) -> _Highs | None:
+        """A HiGHS model of the stacked arrays; None when HiGHS refuses it."""
         a = self._matrix()
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = self._n_vars, self._n_rows
         lp.col_cost_ = self._cost()
         lp.col_lower_, lp.col_upper_ = _stacked(self._lb), _stacked(self._ub)
         lp.row_lower_, lp.row_upper_ = _stacked(self._row_lb), _stacked(self._row_ub)
+        lp.integrality_ = list(map(HighsVarType, _stacked(self._integrality).tolist()))
         m = lp.a_matrix_
         m.format_ = MatrixFormat.kColwise
         m.num_col_, m.num_row_ = self._n_vars, self._n_rows

@@ -160,8 +160,9 @@ class OtsdModel:
     registry that maps each cutset to its row.
 
     One contingency block may be movable: ``move_trip`` re-targets it to
-    another contingency through bound changes alone, which a backend holding
-    a live LP applies in place, so the re-solve starts from the last basis.
+    another contingency through bound changes alone, which the backend
+    applies to its live model in place, so the re-solve starts from the last
+    basis.
     """
 
     def __init__(self, grid: Grid, bigm: BigMConfig, backend: ScipyHighsBackend,
@@ -546,11 +547,14 @@ def fixed_config_flows(grid: Grid, config: SwitchConfig, contingencies: Continge
     """Security-analysis program: thermal limits omitted, binaries fixed.
 
     One program per configuration: the base block plus one movable
-    contingency block, moved from trip to trip by ``OtsdModel.move_trip``
-    and solved for each contingency with cutset separation to the fixpoint,
-    so the energization values match graph connectivity exactly. With every
-    binary fixed the program is an LP, which the backend keeps live, so each
-    contingency re-solves from the last basis. The state-containing bounds
+    contingency block, moved from trip to trip by ``OtsdModel.move_trip``.
+    A trip that strands a bus is solved with cutset separation to the
+    fixpoint, so the energization values match graph connectivity exactly;
+    one that leaves every bus connected is solved once, since separation
+    only cuts off buses graph-disconnected from the reference. One labelling
+    of every trip's closed graph tells the two apart. With every binary
+    fixed the program is an LP, which the backend re-solves from the last
+    basis for each contingency. The state-containing bounds
     of ``security_program_bounds`` are used, never the optimization
     defaults: an oracle must not clip feasible states. Flows, energization
     and sigma are read off the model's column records, flows and
@@ -562,13 +566,17 @@ def fixed_config_flows(grid: Grid, config: SwitchConfig, contingencies: Continge
     model.fix_config(config)
     base_flows: Mapping[int, float] | None = None
     states: dict[int, FixedContingencyState] = {}
-    for c in contingencies:
+    opened = np.isin(grid.branch_id, list(config.open_branches))
+    off = np.array([opened | ~model._live(c) for c in contingencies], dtype=bool)
+    labels = graph_ops.component_labels(grid, ~off.reshape(-1, opened.size))
+    strands = (labels != labels[:, [grid.ref_idx]]).any(axis=1)
+    for c, separate in zip(contingencies, strands):
         if model.contingencies:
             model.move_trip(c)
         else:
             model.add_contingency_block(c, OMIT, movable=True)
             model.set_loss_objective()
-        status = model.solve_with_separation()
+        status = model.solve_with_separation() if separate else model.backend.solve()
         if not status.has_solution:
             states[c.id] = FixedContingencyState(flows={}, pi={}, sigma=0.0,
                                                  loss_of_load=math.nan, feasible=False)

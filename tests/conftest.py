@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
+import scipy.sparse
 
-from otsd import build_grid, load_case
+from otsd import backend, build_grid, load_case
 from otsd.grid import Branch, Bus, Grid
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -134,3 +136,39 @@ def random_connected_config(grid: Grid, rng, max_open: int = 5):
         if len(bfs_energized(grid, closed, grid.reference_bus)) == grid.n_buses:
             return SwitchConfig(open_set)
     return SwitchConfig.all_closed()
+
+
+class Recorded(Exception):
+    """Stops a program at the HiGHS run ``record_highs_runs`` was asked for."""
+
+
+def record_highs_runs(monkeypatch, stop_at: int | None = None) -> list[dict]:
+    """Record the program of every HiGHS run, as HiGHS is about to solve it.
+
+    Patches ``otsd.backend._Highs`` so that each ``run`` first appends the
+    live model's arrays to the returned list: the matrix column-wise (from
+    ``ensureColwise`` and ``getLp``) and integrality as HiGHS applies it,
+    which is none while ``solve_relaxation`` is on. Run number ``stop_at``
+    raises ``Recorded`` instead of solving; the runs before it go ahead.
+    """
+    programs: list[dict] = []
+
+    class Recording(backend._Highs):
+        def run(self):
+            self.ensureColwise()
+            lp = self.getLp()
+            m = lp.a_matrix_
+            relaxed = self.getOptionValue("solve_relaxation")[1]
+            programs.append({
+                "c": np.asarray(lp.col_cost_),
+                "integrality": np.asarray([] if relaxed else lp.integrality_, dtype=float),
+                "lb": np.asarray(lp.col_lower_), "ub": np.asarray(lp.col_upper_),
+                "A": scipy.sparse.csc_array((m.value_, m.index_, m.start_),
+                                            shape=(lp.num_row_, lp.num_col_)),
+                "row_lb": np.asarray(lp.row_lower_), "row_ub": np.asarray(lp.row_upper_)})
+            if len(programs) - 1 == stop_at:
+                raise Recorded
+            return super().run()
+
+    monkeypatch.setattr(backend, "_Highs", Recording)
+    return programs

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize._highspy._core import kSolutionStatusInfeasible
+from scipy.optimize._highspy._core import kHighsInf, kSolutionStatusInfeasible
 
 from otsd import backend
 from otsd.backend import HighsModelStatus, ScipyHighsBackend, Status
+
+from conftest import record_highs_runs
 
 
 def test_simple_lp():
@@ -95,20 +97,12 @@ def test_deterministic_repeat_solves():
 
 
 def _recorded_model(monkeypatch, be):
-    """Solve ``be`` and return the arrays it handed to ``milp``."""
-    seen = {}
-    real = backend.milp
-
-    def record(**kwargs):
-        seen.update(kwargs)
-        return real(**kwargs)
-
-    monkeypatch.setattr(backend, "milp", record)
-    status = be.solve()
-    (con,) = seen["constraints"]
-    return status, be.objective_value, {
-        "c": seen["c"], "integrality": seen["integrality"], "lb": seen["bounds"].lb,
-        "ub": seen["bounds"].ub, "A": con.A.toarray(), "row_lb": con.lb, "row_ub": con.ub}
+    """Solve ``be`` and return the arrays HiGHS ran it on."""
+    with monkeypatch.context() as patch:
+        programs = record_highs_runs(patch)
+        status = be.solve()
+    (program,) = programs
+    return status, be.objective_value, {**program, "A": program["A"].toarray()}
 
 
 def test_bulk_rows_match_one_at_a_time(monkeypatch):
@@ -201,8 +195,8 @@ def test_live_lp_resolves_match_fresh_backends():
             earlier(fresh)
         assert live.solve() is fresh.solve() is Status.OPTIMAL
         if i == 0:
-            model = live._lp
-        assert live._lp is model  # changed in place, never rebuilt
+            model = live._model
+        assert live._model is model  # changed in place, never rebuilt
         assert live.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
         np.testing.assert_allclose(live.solution, fresh.solution, atol=1e-9)
 
@@ -244,3 +238,86 @@ def test_live_lp_stalled_resolve_runs_again_cold(monkeypatch, stall):
     assert be.solve() is Status.OPTIMAL
     assert events == ["run", "run", "clear", "run"]
     assert be.objective_value == pytest.approx(-6.0)
+
+
+def _knapsack() -> ScipyHighsBackend:
+    be = ScipyHighsBackend()
+    items = [(3, 4), (4, 5), (2, 3)]  # (weight, value)
+    xs = be.add_vars(3, 0.0, 1.0, binary=True)
+    be.add_rows([0, 0, 0], xs, [w for w, _ in items], -math.inf, 6.0)
+    be.set_objective({x: v for x, (_, v) in zip(xs, items)}, "max")
+    return be
+
+
+@pytest.mark.parametrize("incumbent", [True, False])
+def test_limit_hit_statuses(monkeypatch, incumbent):
+    """A MIP that hits a limit holding an incumbent is FEASIBLE with it, and
+    TIMEOUT without one; an LP that hits a limit is TIMEOUT either way."""
+    class Limited(backend._Highs):
+        def getModelStatus(self):
+            super().getModelStatus()
+            return HighsModelStatus.kTimeLimit
+
+        def getInfo(self):
+            info = super().getInfo()
+            if not incumbent:
+                info.objective_function_value = kHighsInf
+            return info
+
+    monkeypatch.setattr(backend, "_Highs", Limited)
+    mip = _knapsack()
+    if incumbent:
+        assert mip.solve() is Status.FEASIBLE
+        assert mip.objective_value == pytest.approx(8.0)
+        assert mip.solution.tolist() == pytest.approx([0.0, 1.0, 1.0])
+    else:
+        assert mip.solve() is Status.TIMEOUT
+        assert mip.objective_value is None
+        with pytest.raises(RuntimeError):
+            mip.solution
+    lp = ScipyHighsBackend()
+    x = lp.add_var(0, 10)
+    lp.set_objective({x: -1})
+    assert lp.solve() is Status.TIMEOUT
+    with pytest.raises(RuntimeError):
+        lp.solution
+
+
+def test_mip_solves_start_cleared_lp_resolves_warm(monkeypatch):
+    """Every MIP solve after the first runs from a cleared solver, as on a
+    new model; a program whose binaries are all fixed re-solves from the
+    last basis, with no clear."""
+    events = []
+
+    class Counting(backend._Highs):
+        def run(self):
+            events.append("run")
+            return super().run()
+
+        def clearSolver(self):
+            events.append("clear")
+            return super().clearSolver()
+
+    monkeypatch.setattr(backend, "_Highs", Counting)
+    be = _knapsack()
+    assert be.solve() is be.solve() is Status.OPTIMAL
+    assert events == ["run", "clear", "run"]
+    be.fix_var(np.arange(3), [0.0, 1.0, 1.0])
+    assert be.solve() is Status.OPTIMAL
+    be.fix_var(0, 1.0)  # over the weight limit
+    assert be.solve() is Status.INFEASIBLE
+    assert events == ["run", "clear", "run", "run", "run"]
+
+
+def test_binary_added_to_a_live_model_is_integral():
+    """A binary added after the first solve is an integer column of the live model."""
+    be = ScipyHighsBackend()
+    x = be.add_var(0.0, 1.25)
+    be.set_objective({x: 1}, "max")
+    assert be.solve() is Status.OPTIMAL
+    (y,) = be.add_vars(1, 0.0, 1.0, binary=True)
+    be.add_rows([0, 0], [x, y], [1, -2.5], -math.inf, 0.0)  # x <= 2.5 y
+    be.set_objective({x: 1, y: -2}, "max")  # the relaxation takes y = 0.5
+    assert be.solve() is Status.OPTIMAL
+    assert be.objective_value == pytest.approx(0.0)
+    assert be.value(y) == pytest.approx(0.0)

@@ -5,9 +5,8 @@ import random
 
 import numpy as np
 import pytest
-import scipy.sparse
 
-from otsd import backend, graph_ops, n_minus_1_contingencies, oracle
+from otsd import graph_ops, n_minus_1_contingencies, oracle
 from otsd.backend import Status
 from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, structural_risk
 from otsd.errors import DuplicateContingency
@@ -25,9 +24,11 @@ from otsd.milp_model import (
 from otsd.results import SolveStatus
 
 from conftest import (
+    Recorded,
     balanced_island_grid,
     load_grid,
     random_connected_config,
+    record_highs_runs,
     six_bus_grid,
     toy_grid,
 )
@@ -313,54 +314,22 @@ def test_extensive_objective_not_below_structural_risk():
     assert res.objective >= structural_risk(grid, cons)
 
 
-class _Recorded(Exception):
-    pass
-
-
 def _program_digest(monkeypatch, run, call: int) -> str:
-    """sha256 of every array HiGHS receives at solve number ``call`` of
-    ``run``: the arguments of a ``milp`` call, or the live LP at ``run``
-    (column-wise, from ``getLp``); the solves before it go ahead."""
-    digest = hashlib.sha256()
-    solve = backend.milp
-    solved = []
-
-    def update(c, integrality, lb, ub, a, row_lb, row_ub):
-        assert a.has_sorted_indices
-        for arr in (c, integrality, lb, ub):
-            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-        for arr in (a.shape, a.indptr, a.indices):
-            digest.update(np.asarray(arr, dtype=np.int64).tobytes())
-        for arr in (a.data, row_lb, row_ub):
-            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-        raise _Recorded
-
-    def record(*, c, constraints, integrality, bounds, options):
-        if len(solved) < call:
-            solved.append(call)
-            return solve(c=c, constraints=constraints, integrality=integrality,
-                         bounds=bounds, options=options)
-        (con,) = constraints
-        update(c, integrality, bounds.lb, bounds.ub, scipy.sparse.csc_array(con.A),
-               con.lb, con.ub)
-
-    class RecordedHighs(backend._Highs):
-        def run(self):
-            if len(solved) < call:
-                solved.append(call)
-                return super().run()
-            self.ensureColwise()
-            lp = self.getLp()
-            m = lp.a_matrix_
-            a = scipy.sparse.csc_array((m.value_, m.index_, m.start_),
-                                       shape=(lp.num_row_, lp.num_col_))
-            update(lp.col_cost_, lp.integrality_, lp.col_lower_, lp.col_upper_, a,
-                   lp.row_lower_, lp.row_upper_)
-
-    with monkeypatch.context() as patch, pytest.raises(_Recorded):
-        patch.setattr(backend, "milp", record)
-        patch.setattr(backend, "_Highs", RecordedHighs)
+    """sha256 of every array HiGHS receives at run number ``call`` of
+    ``run``, as ``record_highs_runs`` records it; the runs before it go ahead."""
+    with monkeypatch.context() as patch, pytest.raises(Recorded):
+        programs = record_highs_runs(patch, stop_at=call)
         run()
+    program = programs[call]
+    a = program["A"]
+    assert a.has_sorted_indices
+    digest = hashlib.sha256()
+    for key in ("c", "integrality", "lb", "ub"):
+        digest.update(np.asarray(program[key], dtype=np.float64).tobytes())
+    for arr in (a.shape, a.indptr, a.indices):
+        digest.update(np.asarray(arr, dtype=np.int64).tobytes())
+    for arr in (a.data, program["row_lb"], program["row_ub"]):
+        digest.update(np.asarray(arr, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
 
@@ -373,7 +342,7 @@ def test_programs_handed_to_highs_are_pinned(grid14, monkeypatch):
     working = [cons.by_id(1), cons.by_id(7), cons.by_id(14)]
     island = balanced_island_grid()
     bridge_trip = Contingency(id=3, tripped=frozenset({3}), probability=1.0)
-    programs = {  # name -> (run, number of the milp call to hash)
+    programs = {  # name -> (run, number of the HiGHS run to hash)
         "extensive": (lambda: solve_extensive(grid14, cons), 0),
         "reduce_violations": (lambda: reduce_violations(
             grid14, working, switchable={3, 4, 5, 6, 10}), 0),
