@@ -41,9 +41,8 @@ import scipy.sparse
 # nothing here calls milp; perfbench/tracer.py wraps this name
 from scipy.optimize import milp  # noqa: F401
 # HiGHS bindings that scipy.optimize itself loads for milp and linprog
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, HighsVarType,
-                                           MatrixFormat, _Highs, kHighsInf,
-                                           kSolutionStatusFeasible)
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, MatrixFormat,
+                                           _Highs, kHighsInf, kSolutionStatusFeasible)
 
 
 class Status(enum.Enum):
@@ -291,7 +290,6 @@ class ScipyHighsBackend:
         lp.col_cost_ = self._cost()
         lp.col_lower_, lp.col_upper_ = _stacked(self._lb), _stacked(self._ub)
         lp.row_lower_, lp.row_upper_ = _stacked(self._row_lb), _stacked(self._row_ub)
-        lp.integrality_ = list(map(HighsVarType, _stacked(self._integrality).tolist()))
         m = lp.a_matrix_
         m.format_ = MatrixFormat.kColwise
         m.num_col_, m.num_row_ = self._n_vars, self._n_rows
@@ -299,6 +297,12 @@ class ScipyHighsBackend:
         highs = _Highs()
         highs.setOptionValue("log_to_console", False)
         if highs.passModel(lp) == HighsStatus.kError:
+            return None
+        # integrality in one array call: a list of one HighsVarType per column
+        # on the HighsLp costs milliseconds on the larger programs
+        binary = np.flatnonzero(_stacked(self._integrality))
+        if binary.size and highs.changeColsIntegrality(
+                binary.size, binary, np.ones(binary.size, dtype=np.uint8)) == HighsStatus.kError:
             return None
         return highs
 

@@ -64,13 +64,11 @@ def _load_grid(config: RunConfig) -> Grid:
 
 
 def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
+    """Run the selected algorithm. The structural risk is the objective of
+    the all-closed screen, which every algorithm makes and reports as the
+    result's ``bound``."""
     grid = _load_grid(config)
     contingencies = n_minus_1_contingencies(grid, config.prob_convention)
-    # the structural risk is the all-closed screen's objective; one analyzer
-    # serves it and the screen of --open, which reuses it when nothing is open
-    analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
-    all_closed = analyzer.analyze(SwitchConfig.all_closed())
-    sr = all_closed.total_objective
 
     if config.algorithm == "heuristic":
         params = heuristic.HeuristicParams(
@@ -80,7 +78,9 @@ def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
     elif config.algorithm == "extensive":
         result = milp_model.solve_extensive(grid, contingencies,
                                             time_limit=config.time_limit)
-    else:  # security-only
+    else:  # security-only: the screen of --open reuses the all-closed one when nothing is open
+        analyzer = dc_engine.SecurityAnalyzer(grid, contingencies, config.tolerance)
+        all_closed = analyzer.analyze(SwitchConfig.all_closed())
         t0 = time.monotonic()
         cfg = SwitchConfig.with_open(config.open_branches)
         report = analyzer.analyze(cfg) if cfg.open_branches else all_closed
@@ -88,9 +88,10 @@ def _run(config: RunConfig) -> tuple[SolveResult, Grid, float]:
         status = SolveStatus.FEASIBLE if report.clean else SolveStatus.INFEASIBLE
         result = SolveResult(
             status=status, config=cfg, objective=report.total_objective,
-            openings=sorted(cfg.open_branches), loss_of_load=dict(report.loss_of_load),
+            bound=all_closed.total_objective, openings=sorted(cfg.open_branches),
+            loss_of_load=dict(report.loss_of_load),
             timings_ms={"security_analysis": elapsed})
-    return result, grid, sr
+    return result, grid, result.bound
 
 
 def _document(config: RunConfig, result: SolveResult, sr: float) -> ResultDocument:

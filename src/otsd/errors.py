@@ -44,6 +44,10 @@ class DuplicateContingency(OtsdError):
     """Contingency block already instantiated on the model."""
 
 
+class InsecurePlan(OtsdError):
+    """A program's plan fails the security engine's re-screen."""
+
+
 class EmptyReport(OtsdError):
     """Operation requires at least one violating contingency."""
 

@@ -42,6 +42,7 @@ class HeuristicState:
     hop_counts: dict[int, int] = field(default_factory=dict)
     switchable: frozenset[int] = frozenset()
     incumbent: SwitchConfig = field(default_factory=SwitchConfig.all_closed)
+    bound: float | None = None  # objective of the all-closed screen
     outer_iter: int = 0
     inner_iter: int = 0
     timings_ms: dict[str, float] = field(default_factory=dict)
@@ -117,7 +118,7 @@ def iteration_log(state: HeuristicState) -> list[dict]:
 def _result(status: SolveStatus, state: HeuristicState,
             config: SwitchConfig | None = None,
             report: SecurityReport | None = None) -> SolveResult:
-    res = SolveResult(status=status, config=config,
+    res = SolveResult(status=status, config=config, bound=state.bound,
                       timings_ms=dict(state.timings_ms),
                       iterations=iteration_log(state))
     if config is not None and report is not None:
@@ -137,7 +138,9 @@ def solve(grid: Grid, contingencies: ContingencySet,
     optimal subproblem; one stopped at a limit with residual overload ends
     the run in TIMEOUT. True infeasibility is only claimed when the hop
     ceiling saturates the line graph; otherwise the status says
-    infeasible-within-horizon.
+    infeasible-within-horizon. Every result carries the objective of the
+    first screen, of the all-closed grid, as ``bound``: the structural risk,
+    a lower bound on the objective of any configuration.
     """
     params = params or HeuristicParams()
     factory = backend_factory or ScipyHighsBackend
@@ -163,6 +166,7 @@ def solve(grid: Grid, contingencies: ContingencySet,
     t = time.monotonic()
     report = analyzer.analyze(config)
     state.add_time("security_analysis", time.monotonic() - t)
+    state.bound = report.total_objective
     state.log.append({
         "phase": "security_analysis", "outer": 0,
         "n_working": len(state.working), "n_switchable": 0,

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import graph_ops
 from .backend import ScipyHighsBackend, Status
-from .dc_engine import SecurityAnalyzer
-from .errors import DuplicateContingency
+from .dc_engine import SecurityAnalyzer, SecurityReport
+from .errors import DuplicateContingency, InsecurePlan
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
 from .results import SolveResult, SolveStatus
 
@@ -499,32 +499,64 @@ def solve_extensive(grid: Grid, contingencies: ContingencySet,
                     backend_factory=None,
                     time_limit: float | None = None) -> SolveResult:
     """The full extensive program: every contingency block, hard limits,
-    probability-weighted loss-of-load objective, lazy cutsets to fixpoint."""
+    probability-weighted loss-of-load objective, lazy cutsets to fixpoint.
+
+    The all-closed grid is screened first. The screen's objective is the
+    structural risk, and it bounds the program's optimum from below: at a
+    cutset fixpoint the program's energization is graph connectivity. In
+    each contingency block the coupling rows hold pi equal across every
+    closed, live branch, so pi is constant on each closed component and is 1
+    on the reference's; the cutsets hold pi at 0 on every bus cut off from
+    the reference. A block's loss of load is thus the load outside the
+    reference's component of the plan's closed, live graph, and opening a
+    branch only shrinks that component after any trip. So when the screen is
+    clean, the all-closed plan is feasible and meets the bound: it is
+    returned as OPTIMAL, and no program is built. (The verdict is the
+    engine's: it prices a trip that leaves the reference's area with load
+    and no generation as the loss of all load, a state the program has no
+    solution for.)
+
+    Otherwise the program is solved and its plan re-screened on the same
+    analyzer, which recomputes the objective free of the solver's float
+    dust; a plan the screen finds violating raises ``InsecurePlan``. Every
+    result carries the structural risk as ``bound``.
+    """
     start = time.monotonic()
+    analyzer = SecurityAnalyzer(grid, contingencies)
+    all_closed = analyzer.analyze(SwitchConfig.all_closed())
+    bound = all_closed.total_objective
+
+    def result(status: SolveStatus, config: SwitchConfig | None = None,
+               report: SecurityReport | None = None) -> SolveResult:
+        res = SolveResult(status=status, config=config, bound=bound,
+                          timings_ms={"solve": (time.monotonic() - start) * 1000.0})
+        if report is not None:
+            res.objective = report.total_objective
+            res.openings = sorted(config.open_branches)
+            res.loss_of_load = dict(report.loss_of_load)
+        return res
+
+    if all_closed.clean:
+        return result(SolveStatus.OPTIMAL, SwitchConfig.all_closed(), all_closed)
+
     factory = backend_factory or ScipyHighsBackend
     model = build_base_case(grid, backend=factory())
     for c in contingencies:
         model.add_contingency_block(c, ENFORCE)
     model.set_loss_objective()
     status = model.solve_with_separation(time_limit)
-    elapsed = (time.monotonic() - start) * 1000.0
-
     if status is Status.INFEASIBLE:
-        return SolveResult(status=SolveStatus.INFEASIBLE,
-                           timings_ms={"solve": elapsed})
+        return result(SolveStatus.INFEASIBLE)
     if not status.has_solution:
-        return SolveResult(status=SolveStatus.TIMEOUT, timings_ms={"solve": elapsed})
+        return result(SolveStatus.TIMEOUT)
 
     config = model.config_from_solution()
-    # the objective is recomputed by the engine, free of the solver's float dust
-    report = SecurityAnalyzer(grid, contingencies).analyze(config)
-    return SolveResult(
-        status=SolveStatus.OPTIMAL if status is Status.OPTIMAL else SolveStatus.FEASIBLE,
-        config=config, objective=report.total_objective,
-        openings=sorted(config.open_branches),
-        loss_of_load=dict(report.loss_of_load),
-        timings_ms={"solve": elapsed},
-    )
+    report = analyzer.analyze(config)
+    if not report.clean:
+        raise InsecurePlan(f"plan opening {sorted(config.open_branches)} violates "
+                           f"{len(report.violating_contingencies)} cases in the screen")
+    return result(SolveStatus.OPTIMAL if status is Status.OPTIMAL else SolveStatus.FEASIBLE,
+                  config, report)
 
 
 @dataclass(frozen=True)

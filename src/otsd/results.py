@@ -28,6 +28,7 @@ class SolveResult:
     status: SolveStatus
     config: SwitchConfig | None = None
     objective: float | None = None
+    bound: float | None = None  # the all-closed screen's objective: a proven lower bound
     openings: list[int] = field(default_factory=list)
     loss_of_load: dict[int, float] = field(default_factory=dict)
     timings_ms: dict[str, float] = field(default_factory=dict)

@@ -188,6 +188,19 @@ def test_all_closed_commands_screen_once(mini_case, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_solves_screen_the_all_closed_grid_once(mini_case, monkeypatch):
+    """The structural risk in a solve document is the solver's own bound,
+    so each solve factorizes the all-closed grid once."""
+    calls = []
+    ptdf = dc_engine._ptdf
+    monkeypatch.setattr(dc_engine, "_ptdf", lambda *a: calls.append(1) or ptdf(*a))
+    for algorithm in ("heuristic", "extensive"):
+        calls.clear()
+        code, out, _ = run_solve(RunConfig(case=mini_case, tlf=2.0, algorithm=algorithm))
+        assert code == 0 and len(calls) == 1, algorithm
+        assert json.loads(out)["structural_risk"] == json.loads(out)["objective"]
+
+
 def test_bench_runs_manifest(tmp_path, mini_case):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(

@@ -2,14 +2,15 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from otsd import graph_ops, n_minus_1_contingencies, oracle
-from otsd.backend import Status
+from otsd.backend import ScipyHighsBackend, Status
 from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, structural_risk
-from otsd.errors import DuplicateContingency
+from otsd.errors import DuplicateContingency, InsecurePlan
 from otsd.grid import Branch, Bus, Contingency, ContingencySet, Grid, SwitchConfig
 from otsd.milp_model import (
     BASE_CASE,
@@ -29,6 +30,7 @@ from conftest import (
     load_grid,
     random_connected_config,
     record_highs_runs,
+    ring_grid,
     six_bus_grid,
     toy_grid,
 )
@@ -312,6 +314,60 @@ def test_extensive_objective_not_below_structural_risk():
     res = solve_extensive(grid, cons)
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective >= structural_risk(grid, cons)
+
+
+def test_secure_all_closed_grid_is_optimal_without_a_program():
+    """A clean all-closed screen meets the structural risk, which bounds
+    every plan: the extensive program built by hand reaches the same
+    optimum, and ``solve_extensive`` never builds it."""
+    def no_program():
+        raise AssertionError("solve_extensive built a program")
+
+    grids = [load_grid("case14_ieee.m", tlf=2.0), six_bus_grid(),
+             balanced_island_grid(), ring_grid(6, limit=2.0)]
+    for grid in grids:
+        cons = n_minus_1_contingencies(grid)
+        assert SecurityAnalyzer(grid, cons).analyze(SwitchConfig.all_closed()).clean
+        res = solve_extensive(grid, cons, backend_factory=no_program)
+        assert res.status is SolveStatus.OPTIMAL, grid.name
+        assert res.openings == []
+        assert res.objective == res.bound == structural_risk(grid, cons)
+
+        model = build_base_case(grid)
+        for c in cons:
+            model.add_contingency_block(c)
+        model.set_loss_objective()
+        assert model.solve_with_separation() is Status.OPTIMAL, grid.name
+        assert model.backend.objective_value == pytest.approx(res.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, tlf", [("case24_ieee_rts.m", 1.0), ("case57_ieee.m", 1.25)])
+def test_secure_all_closed_grid_returns_at_once(name, tlf):
+    """Both instances time out with no incumbent after 60 s when the
+    program is solved, although the all-closed grid is secure."""
+    grid = load_grid(name, tlf=tlf)
+    cons = n_minus_1_contingencies(grid)
+    t0 = time.monotonic()
+    res = solve_extensive(grid, cons, time_limit=60)
+    assert time.monotonic() - t0 < 1.0
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.openings == [] and res.objective == structural_risk(grid, cons)
+
+
+def test_extensive_plan_failing_the_screen_raises(grid14):
+    """A plan the engine finds violating is an error, never OPTIMAL: the
+    backend here reads every switching column as closed, and the all-closed
+    case14 grid is not secure at tlf 1.0."""
+    class ReadsAllClosed(ScipyHighsBackend):
+        @property
+        def solution(self):
+            x = super().solution.copy()
+            x[:grid14.n_branches] = 1.0  # the switching columns come first
+            return x
+
+    cons = n_minus_1_contingencies(grid14)
+    with pytest.raises(InsecurePlan):
+        solve_extensive(grid14, cons, backend_factory=ReadsAllClosed)
 
 
 def _program_digest(monkeypatch, run, call: int) -> str:
