@@ -1,8 +1,11 @@
 """Linear-algebra security analysis: DC power flow, PTDF, rebalancing,
 violation detection, and the probability-weighted loss-of-load objective.
 
-Every single-branch trip is one product on the PTDF of the base topology. A
-trip that keeps the grid whole is an outage-distribution (LODF) update of
+The all-closed grid is factorized once per analyzer. A base topology is the
+all-closed grid with its open branches out, so its PTDF is a generalized
+outage-distribution (LODF) update of the all-closed PTDF: one k x k solve
+for k open branches. Every single-branch trip is one product on the PTDF of
+the base topology. A trip that keeps the grid whole is an LODF update of
 the base flows. A bridge trip strands the island behind the bridge; after
 proportional rebalancing that island injects nothing, so neither it nor the
 bridge carries flow, and the post-trip flows are exactly the base PTDF times
@@ -15,6 +18,8 @@ topology. The structural risk is the screen of the all-closed grid.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +50,43 @@ class RebalanceResult:
     loss_of_load: float
 
 
-@dataclass(frozen=True)
+# the de-energized set of every case that strands nothing
+_NONE: frozenset[int] = frozenset()
+
+
+class _Overloads(Mapping):
+    """Read-only dict, branch id -> overload, of one case of a report: a
+    slice of the two arrays that all cases of the report share."""
+
+    __slots__ = ("_ids", "_values", "_start", "_stop")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray, start: int, stop: int):
+        self._ids, self._values, self._start, self._stop = ids, values, start, stop
+
+    def __getitem__(self, key: int) -> float:
+        at = np.flatnonzero(self._ids[self._start:self._stop] == key)
+        if not at.size:
+            raise KeyError(key)
+        return float(self._values[self._start + at[0]])
+
+    def __iter__(self):
+        return iter(self._ids[self._start:self._stop].tolist())
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+@dataclass(frozen=True, slots=True)
 class ViolationDetail:
-    violated_branches: dict[int, float]  # branch id -> overload beyond limit, p.u.
+    violated_branches: Mapping[int, float]  # branch id -> overload beyond limit, p.u.
     loss_of_load: float
     de_energized: frozenset[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SecurityReport:
     violating_contingencies: dict[int | None, ViolationDetail]
     total_objective: float
@@ -186,7 +220,7 @@ def rebalance(grid: Grid, energized: EnergizedSet) -> RebalanceResult:
     return RebalanceResult(sigma=s, pg=pg, pd=pd, loss_of_load=float(loss[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContingencyState:
     """Post-contingency operating point used by the analyzer and oracles."""
 
@@ -201,18 +235,39 @@ class ContingencyState:
 class _Topology:
     """A connected base topology and what N-1 screening needs of it."""
 
+    opened: frozenset[int]
     closed: frozenset[int]
+    live: np.ndarray  # by branch index: closed
     ptdf: np.ndarray
     flows: np.ndarray  # base flows by branch index
     bridge: np.ndarray  # by branch index: its trip strands an island
 
 
+@dataclass(frozen=True)
+class _Trips:
+    """Flows after each of a batch of single-branch trips, one column each,
+    and the rebalance of the trips in it that strand an island."""
+
+    post: np.ndarray  # branch x trip
+    bridge: np.ndarray  # by trip
+    on: np.ndarray  # bus x bridge trip: energized after it
+    sigma: np.ndarray  # by bridge trip; 0 where unbalanceable
+    loss: np.ndarray  # by bridge trip; the whole load where unbalanceable
+    balanced: np.ndarray
+
+
 class SecurityAnalyzer:
     """Reusable N-1 screening engine for one grid and contingency set.
 
-    Keeps the PTDF, base flows and bridges of the last base topology it was
-    asked about, so an analysis and the per-contingency queries that follow
-    on the same configuration build them once.
+    Factorizes the all-closed grid once, at its first screen. A
+    configuration is the all-closed grid with its open branches tripped, so
+    its PTDF is a rank-k update of the all-closed one (generalized LODF):
+    with ``M0`` the branch-to-branch outage matrix of the all-closed grid
+    and ``S`` the open branches, ``PTDF0 + M0[:, S] (I - M0[S, S])^-1
+    PTDF0[S, :]``, with the rows of ``S`` zero. ``M0`` is built at the first
+    configuration with an opening. The PTDF, base flows and bridges of the
+    last configuration are kept, so an analysis and the per-contingency
+    queries that follow on the same configuration build them once.
     """
 
     def __init__(self, grid: Grid, contingencies: ContingencySet,
@@ -221,42 +276,65 @@ class SecurityAnalyzer:
         self.contingencies = contingencies
         self.tolerance = tolerance
         self._all = frozenset(grid.branch_ids())
-        self._bus_ids = grid.bus_ids()
+        tripped = [c.tripped & self._all for c in contingencies.cases]
+        # by case: the index of its one tripped branch, or -1
+        self._trip = np.array([grid.branch_index(next(iter(t))) if len(t) == 1 else -1
+                               for t in tripped], dtype=int)
+        # the cases that trip more than one branch
+        self._several = [j for j, t in enumerate(tripped) if len(t) > 1]
         self._last: _Topology | None = None
 
     def base_injections(self) -> np.ndarray:
         return self.grid.pg - self.grid.pd
 
-    def _topology(self, config: SwitchConfig) -> _Topology:
-        closed = self._all - config.open_branches
-        if self._last is not None and self._last.closed == closed:
-            return self._last
+    @functools.cached_property
+    def _closed(self) -> _Topology:
+        """The all-closed grid, whose graph is connected (a Grid invariant)."""
+        n = self.grid.n_branches
+        return self._topology_of(frozenset(), np.ones(n, dtype=bool),
+                                 _ptdf(self.grid, np.arange(n)))
+
+    @functools.cached_property
+    def _m0(self) -> np.ndarray:
+        """Outage matrix of the all-closed grid: column k holds the flows of
+        a unit injected at branch k's origin and withdrawn at its destination."""
+        ptdf = self._closed.ptdf
+        return ptdf[:, self.grid.origin_idx] - ptdf[:, self.grid.dest_idx]
+
+    def _topology_of(self, opened: frozenset[int], live: np.ndarray,
+                     ptdf: np.ndarray) -> _Topology:
         grid = self.grid
-        ks = grid.branch_indexes(closed)
-        labels = graph_ops.component_labels(grid, ks)
-        off = labels != labels[grid.ref_idx]
-        if off.any():
-            raise DisconnectedCase(
-                f"base configuration disconnects buses {sorted(grid.bus_id[off].tolist())}")
-        ptdf = _ptdf(grid, ks)
         # a closed branch is a bridge exactly when its self-sensitivity is 1
         # (the LODF denominator vanishes); open branches have zero PTDF rows
         arange = np.arange(grid.n_branches)
         self_sens = ptdf[arange, grid.origin_idx] - ptdf[arange, grid.dest_idx]
-        bridge = 1.0 - self_sens < 1e-9
-        self._last = _Topology(closed=closed, ptdf=ptdf,
-                               flows=ptdf @ self.base_injections(), bridge=bridge)
+        return _Topology(opened=opened, closed=self._all - opened, live=live, ptdf=ptdf,
+                         flows=ptdf @ self.base_injections(), bridge=1.0 - self_sens < 1e-9)
+
+    def _topology(self, config: SwitchConfig) -> _Topology:
+        opened = config.open_branches & self._all
+        if not opened:
+            return self._closed
+        if self._last is not None and self._last.opened == opened:
+            return self._last
+        grid = self.grid
+        s = grid.branch_indexes(opened)
+        live = np.ones(grid.n_branches, dtype=bool)
+        live[s] = False
+        labels = graph_ops.component_labels(grid, live)
+        off = labels != labels[grid.ref_idx]
+        if off.any():
+            raise DisconnectedCase(
+                f"base configuration disconnects buses {sorted(grid.bus_id[off].tolist())}")
+        ptdf0, m0s = self._closed.ptdf, self._m0[:, s]
+        ptdf = ptdf0 + m0s @ np.linalg.solve(np.eye(len(s)) - m0s[s], ptdf0[s])
+        ptdf[s] = 0.0
+        self._last = self._topology_of(opened, live, ptdf)
         return self._last
 
-    def _single_trips(self, base: _Topology,
-                      ks: np.ndarray) -> tuple[np.ndarray, list[ContingencyState]]:
-        """States after tripping, on its own, each closed branch of index ``ks[j]``.
-
-        Returns the post-trip flows, one column per trip, and the states,
-        whose flows are those columns.
-        """
+    def _single_trips(self, base: _Topology, ks: np.ndarray) -> _Trips:
+        """Flows after tripping, on its own, each closed branch of index ``ks[j]``."""
         grid, ptdf, f = self.grid, base.ptdf, base.flows
-        cols = np.arange(len(ks))
         post = np.empty((grid.n_branches, len(ks)))
         bridge = base.bridge[ks]
 
@@ -271,19 +349,15 @@ class SecurityAnalyzer:
         sigma, loss, balanced = _rescale(grid, on)
         p = np.where(on & balanced, sigma * grid.pg[:, None] - grid.pd[:, None], 0.0)
         post[:, bridge] = ptdf @ p
-        post[ks, cols] = 0.0
+        post[ks, np.arange(len(ks))] = 0.0
+        loss[~balanced] = float(grid.pd.sum())
+        return _Trips(post=post, bridge=bridge, on=on, sigma=np.where(balanced, sigma, 0.0),
+                      loss=loss, balanced=balanced)
 
-        states = [ContingencyState(sigma=1.0, loss_of_load=0.0, flows=post[:, j],
-                                   de_energized=frozenset()) for j in cols]
-        total_load = float(grid.pd.sum())
-        for i, j in enumerate(cols[bridge]):
-            states[j] = ContingencyState(
-                sigma=float(sigma[i]) if balanced[i] else 0.0,
-                loss_of_load=float(loss[i]) if balanced[i] else total_load,
-                flows=post[:, j],
-                de_energized=frozenset(self._bus_ids[b] for b in np.flatnonzero(~on[:, i])),
-                unbalanceable=not balanced[i])
-        return post, states
+    def _de_energized(self, on: np.ndarray) -> frozenset[int]:
+        if on.all():
+            return _NONE
+        return frozenset(self.grid.bus_id[~on].tolist())
 
     def _general_trip(self, base: _Topology, c: Contingency) -> ContingencyState:
         """Trip of several closed branches: rebalance, then a DC power flow."""
@@ -291,7 +365,7 @@ class SecurityAnalyzer:
         ks = grid.branch_indexes(base.closed - c.tripped)
         labels = graph_ops.component_labels(grid, ks)
         on = labels == labels[grid.ref_idx]
-        de_energized = frozenset(grid.bus_id[~on].tolist())
+        de_energized = self._de_energized(on)
         sigma, loss, balanced = _rescale(grid, on[:, None])
         if not balanced[0]:
             # main component cannot be balanced: the whole load is lost
@@ -308,11 +382,17 @@ class SecurityAnalyzer:
         if not live:
             # the base case, or a trip of branches that are open already
             return ContingencyState(sigma=1.0, loss_of_load=0.0, flows=base.flows,
-                                    de_energized=frozenset())
-        if len(live) == 1:
-            ks = np.array([self.grid.branch_index(e) for e in live])
-            return self._single_trips(base, ks)[1][0]
-        return self._general_trip(base, contingency)
+                                    de_energized=_NONE)
+        if len(live) > 1:
+            return self._general_trip(base, contingency)
+        trips = self._single_trips(base, self.grid.branch_indexes(live))
+        if not trips.bridge[0]:
+            return ContingencyState(sigma=1.0, loss_of_load=0.0, flows=trips.post[:, 0],
+                                    de_energized=_NONE)
+        return ContingencyState(
+            sigma=float(trips.sigma[0]), loss_of_load=float(trips.loss[0]),
+            flows=trips.post[:, 0], de_energized=self._de_energized(trips.on[:, 0]),
+            unbalanceable=not trips.balanced[0])
 
     def contingency_state(self, config: SwitchConfig,
                           contingency: Contingency | None) -> ContingencyState:
@@ -320,47 +400,61 @@ class SecurityAnalyzer:
         return self._state(self._topology(config), contingency)
 
     def analyze(self, config: SwitchConfig) -> SecurityReport:
-        grid = self.grid
+        """Screen every contingency of a connected configuration.
+
+        All single-branch trips are screened in one batch, and only the cases
+        the report names (overloaded, or stranding load) are read out of it.
+        """
+        grid, cases = self.grid, self.contingencies.cases
         base = self._topology(config)
-        cases = self.contingencies.cases
-        live = [c.tripped & base.closed for c in cases]
-        single = [j for j, t in enumerate(live) if len(t) == 1]
-        ks = np.array([grid.branch_index(next(iter(live[j]))) for j in single], dtype=int)
-        post, trip_states = self._single_trips(base, ks)
-        states = dict(zip(single, trip_states))
-        # all single trips are screened at once; only flagged ones are read out
-        flagged = {single[j] for j in np.flatnonzero(
-            (np.abs(post) - grid.limit[:, None] > self.tolerance).any(axis=0))}
+        trip = np.where(base.live[self._trip], self._trip, -1)  # -1 stays -1
+        single = np.flatnonzero(trip >= 0)
+        trips = self._single_trips(base, trip[single])
+        states = [self._state(base, cases[j]) for j in self._several]
+
+        # one column of flows per case kind: the base (also the state after
+        # a trip of open branches), each single trip, each multi-branch trip
+        over = np.abs(np.column_stack([base.flows, trips.post, *(s.flows for s in states)]))
+        over -= grid.limit[:, None]
+        col, row = np.nonzero((over > self.tolerance).T)
+        stops = np.searchsorted(col, np.arange(over.shape[1]), side="right")
+        ids, values = grid.branch_id[row], over[row, col]
+        column = np.zeros(len(cases), dtype=int)
+        column[single] = np.arange(1, len(single) + 1)
+        column[self._several] = np.arange(len(single) + 1, over.shape[1])
+        hits = np.diff(stops, prepend=0)
+
+        bridge = single[trips.bridge]
+        loss_of = np.zeros(len(cases))
+        loss_of[bridge] = trips.loss
+        loss_of[self._several] = [s.loss_of_load for s in states]
+        bridge_at = dict(zip(bridge.tolist(), range(len(bridge))))
+        state_at = dict(zip(self._several, states))
+
+        def overloads(c: int) -> _Overloads:
+            return _Overloads(ids, values, int(stops[c] - hits[c]), int(stops[c]))
+
+        def de_energized(j: int) -> frozenset[int]:
+            if j in state_at:
+                return state_at[j].de_energized
+            return self._de_energized(trips.on[:, bridge_at[j]]) if j in bridge_at else _NONE
 
         violating: dict[int | None, ViolationDetail] = {}
+        base_over = overloads(0)
+        if hits[0] and self.contingencies.include_base_case:
+            violating[BASE_CASE] = ViolationDetail(
+                violated_branches=base_over, loss_of_load=0.0, de_energized=_NONE)
         loss: dict[int, float] = {}
-
-        def overloads(flows: np.ndarray) -> dict[int, float]:
-            over = np.abs(flows) - grid.limit
-            hits = np.flatnonzero(over > self.tolerance)
-            return {grid.branches[k].id: float(over[k]) for k in hits}
-
-        if self.contingencies.include_base_case:
-            base_over = overloads(base.flows)
-            if base_over:
-                violating[BASE_CASE] = ViolationDetail(
-                    violated_branches=base_over, loss_of_load=0.0,
-                    de_energized=frozenset())
-
         objective = 0.0
-        for j, c in enumerate(cases):
-            if j in states:
-                state, screen = states[j], j in flagged
-            else:
-                state, screen = self._state(base, c), True
-            if state.loss_of_load > 1e-12:
-                loss[c.id] = state.loss_of_load
-                objective += c.probability * state.loss_of_load
-            over = overloads(state.flows) if screen else None
-            if over:
+        for j in np.flatnonzero((hits[column] > 0) | (loss_of > 1e-12)).tolist():
+            c, ll = cases[j], float(loss_of[j]) if loss_of[j] else 0.0  # one shared zero
+            if ll > 1e-12:
+                loss[c.id] = ll
+                objective += c.probability * ll
+            if hits[column[j]]:
                 violating[c.id] = ViolationDetail(
-                    violated_branches=over, loss_of_load=state.loss_of_load,
-                    de_energized=state.de_energized)
+                    violated_branches=overloads(column[j]) if column[j] else base_over,
+                    loss_of_load=ll, de_energized=de_energized(j))
 
         return SecurityReport(violating_contingencies=violating,
                               total_objective=objective, loss_of_load=loss)

@@ -24,6 +24,11 @@ def grid14():
 
 
 @pytest.fixture(scope="session")
+def grid24():
+    return load_grid("case24_ieee_rts.m")
+
+
+@pytest.fixture(scope="session")
 def grid30():
     return load_grid("case30_ieee.m")
 
@@ -136,6 +141,30 @@ def random_connected_config(grid: Grid, rng, max_open: int = 5):
         if len(bfs_energized(grid, closed, grid.reference_bus)) == grid.n_buses:
             return SwitchConfig(open_set)
     return SwitchConfig.all_closed()
+
+
+def spanning_tree_config(grid: Grid, rng):
+    """Switching state that keeps only a random spanning tree closed."""
+    from otsd.grid import SwitchConfig
+
+    root = list(range(grid.n_buses))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    order = list(range(grid.n_branches))
+    rng.shuffle(order)
+    opened = []
+    for k in order:
+        a, b = find(grid.origin_idx[k]), find(grid.dest_idx[k])
+        if a == b:
+            opened.append(grid.branches[k].id)
+        else:
+            root[a] = b
+    return SwitchConfig.with_open(opened)
 
 
 class Recorded(Exception):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from otsd import dc_engine
-from otsd.cli import RunConfig, cmd_bench, cmd_check, cmd_solve, main
+from otsd import dc_engine, heuristic, n_minus_1_contingencies
+from otsd.cli import EXIT_INFEASIBLE, RunConfig, cmd_bench, cmd_check, cmd_solve, main
 
-from conftest import case_path
+from conftest import case_path, load_grid
 
 MINI_CASE = """
 function mpc = toy4
@@ -190,7 +190,8 @@ def test_all_closed_commands_screen_once(mini_case, monkeypatch):
 
 def test_solves_screen_the_all_closed_grid_once(mini_case, monkeypatch):
     """The structural risk in a solve document is the solver's own bound,
-    so each solve factorizes the all-closed grid once."""
+    so each solve factorizes the all-closed grid once. Every other
+    configuration's PTDF is an update of that factorization."""
     calls = []
     ptdf = dc_engine._ptdf
     monkeypatch.setattr(dc_engine, "_ptdf", lambda *a: calls.append(1) or ptdf(*a))
@@ -199,6 +200,23 @@ def test_solves_screen_the_all_closed_grid_once(mini_case, monkeypatch):
         code, out, _ = run_solve(RunConfig(case=mini_case, tlf=2.0, algorithm=algorithm))
         assert code == 0 and len(calls) == 1, algorithm
         assert json.loads(out)["structural_risk"] == json.loads(out)["objective"]
+
+    case118 = case_path("case118_ieee.m")
+    calls.clear()
+    opened = RunConfig(case=case118, tlf=1.25, open_branches=(116, 120, 144))
+    assert cmd_check(opened, out=io.StringIO()) == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run_solve(RunConfig(case=case118, tlf=1.25, algorithm="security-only",
+                                       open_branches=(116, 120, 144)))
+    assert code == EXIT_INFEASIBLE and len(calls) == 1
+    assert json.loads(out)["objective"] == pytest.approx(3.11)
+
+    calls.clear()
+    grid = load_grid("case118_ieee.m", 1.35)
+    result = heuristic.solve(grid, n_minus_1_contingencies(grid))
+    assert result.status.is_feasible and result.openings
+    assert len(calls) == 1
 
 
 def test_bench_runs_manifest(tmp_path, mini_case):
@@ -254,3 +272,30 @@ def test_exit_codes_total_over_statuses():
     from otsd.cli import _EXIT_BY_STATUS
     from otsd.results import SolveStatus
     assert set(_EXIT_BY_STATUS) == set(SolveStatus)
+
+
+CHECK_118_AT_125 = """\
+objective: 3.11  structural risk: 2.99
+violating contingencies: 6
+  contingency 7: 96(+0.6281)  de-energized buses: [9, 10]
+  contingency 9: 96(+0.6281)  de-energized buses: [10]
+  contingency 31: 33(+0.1694)
+  contingency 38: 33(+0.1909)
+  contingency 96: 66(+0.0399), 67(+0.0399)
+  contingency 118: 108(+0.0633)
+  contingency 113: de-energization, loss of load 0.06
+  contingency 133: de-energization, loss of load 0.21
+  contingency 146: de-energization, loss of load 0.12
+  contingency 177: de-energization, loss of load 0.68
+  contingency 183: de-energization, loss of load 1.84
+  contingency 184: de-energization, loss of load 0.2
+"""
+
+
+def test_check_text_with_three_openings():
+    out = io.StringIO()
+    config = RunConfig(case=case_path("case118_ieee.m"), tlf=1.25, open_branches=(116, 120, 144))
+    assert cmd_check(config, out=out) == 0
+    first, rest = out.getvalue().split("\n", 1)
+    assert first.endswith("case118_ieee.m  tlf: 1.25  open: [116, 120, 144]")
+    assert rest == CHECK_118_AT_125

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from otsd import dc_engine, graph_ops, n_minus_1_contingencies, oracle
-from otsd.dc_engine import SecurityAnalyzer, dc_power_flow, ptdf_matrix, rebalance, structural_risk
+from otsd.dc_engine import (SecurityAnalyzer, ViolationDetail, dc_power_flow, ptdf_matrix,
+                             rebalance, structural_risk)
 from otsd.errors import DisconnectedCase, UnbalanceableIsland
 from otsd.grid import Branch, Bus, Contingency, ContingencySet, Grid, SwitchConfig
 
-from conftest import random_connected_config, ring_grid, toy_grid
+from conftest import load_grid, random_connected_config, ring_grid, spanning_tree_config, toy_grid
 
 
 def two_bus_grid():
@@ -140,7 +141,7 @@ def _naive_contingency_state(grid, config, c):
            for b in grid.buses}
     state = dc_power_flow(grid, closed, inj)
     ll = sum(b.pd_ref for b in grid.buses) - load_on
-    return state, sigma, ll
+    return state, sigma, ll, ens.de_energized
 
 
 def test_fast_path_matches_naive_recompute(grid30):
@@ -153,7 +154,7 @@ def test_fast_path_matches_naive_recompute(grid30):
         config = random_connected_config(grid30, rng)
         for c in cons:
             fast = analyzer.contingency_state(config, c)
-            state, sigma, ll = _naive_contingency_state(grid30, config, c)
+            state, sigma, ll, _ = _naive_contingency_state(grid30, config, c)
             if fast.unbalanceable:
                 continue
             assert abs(fast.sigma - sigma) < 1e-8
@@ -269,19 +270,69 @@ def test_frontier_flows_are_zero_after_bridge_trip(grid57):
                 assert abs(state.flows[k]) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["grid30", "grid57", "grid118"])
+@pytest.mark.parametrize("name", ["grid14", "grid24", "grid30", "grid57", "grid118"])
 def test_ptdf_bridge_mask_matches_find_bridges(name, request):
-    # the screen reads bridges off the PTDF self-sensitivities; the lowlink
-    # traversal is the reference
+    # a configuration's PTDF is an update of the all-closed one, checked
+    # against a fresh factorization; the screen reads bridges off its
+    # self-sensitivities, checked against the lowlink traversal. On a
+    # spanning tree every closed branch is a bridge.
     grid = request.getfixturevalue(name)
     analyzer = SecurityAnalyzer(grid, n_minus_1_contingencies(grid))
     rng = random.Random(41)
     configs = [SwitchConfig.all_closed()]
     configs += [random_connected_config(grid, rng, max_open=8) for _ in range(20)]
-    for config in configs:
-        mask = analyzer._topology(config).bridge
-        got = {grid.branches[k].id for k in np.flatnonzero(mask)}
-        assert got == graph_ops.find_bridges(grid, config.closed_set(grid)), config
+    trees = [spanning_tree_config(grid, rng) for _ in range(5)]
+    assert all(t.n_open == grid.n_branches - grid.n_buses + 1 for t in trees)
+    for config in configs + trees:
+        closed = config.closed_set(grid)
+        topology = analyzer._topology(config)
+        assert np.abs(topology.ptdf - ptdf_matrix(grid, closed)).max() < 1e-10, config
+        got = {grid.branches[k].id for k in np.flatnonzero(topology.bridge)}
+        assert got == graph_ops.find_bridges(grid, closed), config
+    assert all(analyzer._topology(t).bridge.sum() == grid.n_buses - 1 for t in trees)
+
+
+@pytest.mark.parametrize("case,tlf", [("case118_ieee.m", 1.25), ("case57_ieee.m", 1.0),
+                                      ("case30_ieee.m", 0.6)])
+def test_reports_match_naive_recompute(case, tlf):
+    # every case of the report against an independent power flow per trip;
+    # on 30@0.6 the base is overloaded, and so is every trip of an open branch
+    grid = load_grid(case, tlf)
+    cons = n_minus_1_contingencies(grid)
+    analyzer = SecurityAnalyzer(grid, cons)
+    rng = random.Random(57)
+    tol = analyzer.tolerance
+
+    def overloads(flows):
+        return {e.id: abs(flows[e.id]) - e.thermal_limit for e in grid.branches
+                if abs(flows[e.id]) - e.thermal_limit > tol}
+
+    for _ in range(100):
+        config = random_connected_config(grid, rng)
+        report = analyzer.analyze(config)
+        expected, loss = {}, {}
+        base = dc_power_flow(grid, config.closed_set(grid), grid.pg - grid.pd)
+        if over := overloads(base.flows):
+            expected[None] = (over, frozenset())
+        for c in cons:
+            state, _, ll, dead = _naive_contingency_state(grid, config, c)
+            if ll > 1e-12:
+                loss[c.id] = ll
+            if over := overloads(state.flows):
+                expected[c.id] = (over, dead)
+        assert report.violating_contingencies.keys() == expected.keys(), config
+        for cid, (over, dead) in expected.items():
+            detail = report.violating_contingencies[cid]
+            assert detail.violated_branches.keys() == over.keys(), (config, cid)
+            assert detail.de_energized == dead, (config, cid)
+            for e, value in over.items():
+                assert detail.violated_branches[e] == pytest.approx(value, abs=1e-9)
+            assert detail.violated_branches == dict(detail.violated_branches.items())
+            assert dict(detail.violated_branches.items()) == detail.violated_branches
+        assert report.loss_of_load.keys() == loss.keys(), config
+        assert report.total_objective == pytest.approx(sum(loss.values()), abs=1e-9)
+    assert ViolationDetail(violated_branches={7: 0.5}, loss_of_load=0.0,
+                           de_energized=frozenset()).violated_branches == {7: 0.5}
 
 
 def test_contingency_state_rejects_disconnected_base():

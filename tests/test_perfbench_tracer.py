@@ -3,10 +3,12 @@
 ``perfbench/tracer.py`` replaces functions and methods of the package by
 name, so renaming or deleting one of them breaks every traced benchmark run
 before its first operation. This runs the tracer as ``perfbench/run.py``
-does, over one operation of each layer it reads.
+does, over one operation of each layer it reads (a screen with openings
+among them), then reduces and writes its spans.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import otsd
@@ -30,7 +32,7 @@ def _tracer_module():
     return module
 
 
-def test_tracer_wraps_and_restores_every_target():
+def test_tracer_wraps_and_restores_every_target(tmp_path):
     module = _tracer_module()
     grid = load_grid("case14_ieee.m")
     cons = n_minus_1_contingencies(grid)
@@ -41,6 +43,9 @@ def test_tracer_wraps_and_restores_every_target():
     try:
         tracer.run_op("screen", lambda: SecurityAnalyzer(grid, cons).analyze(
             SwitchConfig.all_closed()))
+        # a configuration with openings takes the updated-PTDF path
+        opened = tracer.run_op("screen-open", lambda: SecurityAnalyzer(grid, cons).analyze(
+            SwitchConfig.with_open([3, 10])))
         tracer.run_op("heuristic", lambda: otsd.heuristic.solve(grid, cons))
         tracer.run_op("fixed-config", lambda: fixed_config_flows(
             grid, SwitchConfig.all_closed(), trips))
@@ -49,4 +54,9 @@ def test_tracer_wraps_and_restores_every_target():
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
     expected = {name for name, _, _ in module.PER_LAYER} - MEASURED_BY_RUN
-    assert set(tracer.metrics(3)) == expected
+    metrics = tracer.metrics(4)
+    assert set(metrics) == expected
+    assert opened.loss_of_load and metrics["dc_engine.bridge_trips"] > 0
+    tracer.write(tmp_path / "spans.jsonl")  # as a traced run ends
+    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
+    assert {"open": [3, 10]} in [s["note"] for s in spans if s["name"] == "dc_engine.analyze"]
