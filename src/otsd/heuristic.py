@@ -4,13 +4,20 @@ Outer loop: security-analyze the incumbent, add the most constraining
 violating contingency to the working set. Inner loop: minimize overloads with
 switching restricted to hop neighborhoods of the monitored branches, growing
 those neighborhoods while residual violations persist. Openings that the
-working set does not need are removed before each security analysis.
+working set does not need are then removed by screening: subsets of the
+reduced plan's openings are screened on the run's own analyzer, fewest
+first, and the first one that keeps the working cases and the base case
+within limits is the new incumbent. Its screen is the outer iteration's
+security analysis.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import graph_ops, milp_model
 from .backend import ScipyHighsBackend, Status
@@ -108,6 +115,41 @@ def expand_switchable(grid: Grid, state: HeuristicState, params: HeuristicParams
             state.hop_counts[vb] += 1
     recompute_switchable(grid, state)
     return None
+
+
+def fewest_openings(analyzer: SecurityAnalyzer, config: SwitchConfig,
+                    working: list[Contingency], deadline: float | None = None
+                    ) -> tuple[SwitchConfig, SecurityReport, int]:
+    """Fewest of ``config``'s openings that keep the working cases secure.
+
+    Subsets of the openings are screened by size, then in lexicographic
+    order of branch ids, and the first whose screen flags no working case
+    and whose base flows overload no branch wins: a minimum-cardinality
+    plan, with the lowest branch ids among its ties. The base case is held
+    to its limits whether or not the contingency set names it, as the MILP
+    formulation (``milp_model.remove_unnecessary_openings``) holds it.
+    Re-closing branches of a connected plan keeps it connected, so every
+    subset screens. Returns the plan, its screen and the number of screens.
+    When ``deadline`` (a ``time.monotonic`` instant) passes before a screen,
+    the input plan is returned with its screen.
+    """
+    ids = {c.id for c in working}
+    limit, tolerance = analyzer.grid.limit, analyzer.tolerance
+    opened = sorted(config.open_branches)
+    screens = 0
+    for size in range(len(opened) + 1):
+        for subset in itertools.combinations(opened, size):
+            screens += 1
+            if deadline is not None and time.monotonic() > deadline:
+                return config, analyzer.analyze(config), screens
+            plan = SwitchConfig(frozenset(subset))
+            report = analyzer.analyze(plan)
+            base = analyzer.contingency_state(plan, None).flows
+            if ids.isdisjoint(report.violating_contingencies) \
+                    and not np.any(np.abs(base) - limit > tolerance):
+                return plan, report, screens
+    # not even the input holds, by screening dust: it was screened last
+    return config, report, screens
 
 
 def iteration_log(state: HeuristicState) -> list[dict]:
@@ -221,17 +263,17 @@ def solve(grid: Grid, contingencies: ContingencySet,
                 return _result(infeasible_status(rv.residual), state)
 
         t = time.monotonic()
-        vsol = milp_model.remove_unnecessary_openings(
-            grid, rv.config, state.working, backend_factory=factory,
-            time_limit=solve_time_limit())
+        vsol, report, screens = fewest_openings(analyzer, rv.config, state.working, deadline)
         state.add_time("simplify", time.monotonic() - t)
         state.incumbent = vsol
+        state.log.append({
+            "phase": "simplify", "outer": state.outer_iter,
+            "openings_before": sorted(rv.config.open_branches),
+            "openings_after": sorted(vsol.open_branches), "screens": screens,
+        })
 
         if out_of_time():
             return _result(SolveStatus.TIMEOUT, state)
-        t = time.monotonic()
-        report = analyzer.analyze(vsol)
-        state.add_time("security_analysis", time.monotonic() - t)
         state.log.append({
             "phase": "security_analysis", "outer": state.outer_iter,
             "n_working": len(state.working), "n_switchable": len(state.switchable),

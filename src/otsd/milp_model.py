@@ -676,9 +676,11 @@ def remove_unnecessary_openings(grid: Grid, vfsol: SwitchConfig,
                                 time_limit: float | None = None) -> SwitchConfig:
     """Re-close as many branches of ``vfsol`` as the working cases allow.
 
-    Only re-closing is permitted, so the returned opening set is a subset of
-    the input one; with ``vfsol`` feasible on the working cases the program
-    cannot be infeasible.
+    The paper's MILP formulation of the removal step. Only re-closing is
+    permitted, so the returned opening set is a subset of the input one;
+    with ``vfsol`` feasible on the working cases the program cannot be
+    infeasible. The heuristic takes the step by screening instead
+    (``heuristic.fewest_openings``); this program is its cross-check.
     """
     factory = backend_factory or ScipyHighsBackend
     model = build_base_case(grid, backend=factory(), base_thermal=ENFORCE)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from otsd import dc_engine, heuristic, n_minus_1_contingencies
+from otsd import dc_engine, heuristic, milp_model, n_minus_1_contingencies
 from otsd.cli import EXIT_INFEASIBLE, RunConfig, cmd_bench, cmd_check, cmd_solve, main
 
 from conftest import case_path, load_grid
@@ -216,6 +216,18 @@ def test_solves_screen_the_all_closed_grid_once(mini_case, monkeypatch):
     grid = load_grid("case118_ieee.m", 1.35)
     result = heuristic.solve(grid, n_minus_1_contingencies(grid))
     assert result.status.is_feasible and result.openings
+    assert len(calls) == 1
+
+    # the heuristic removes unnecessary openings by screening on its own
+    # analyzer: no opening-minimization program is built
+    def no_program(*args, **kwargs):
+        raise AssertionError("opening-minimization program built")
+
+    monkeypatch.setattr(milp_model, "remove_unnecessary_openings", no_program)
+    calls.clear()
+    grid = load_grid("case57_ieee.m", 0.9)
+    result = heuristic.solve(grid, n_minus_1_contingencies(grid))
+    assert result.status.is_feasible and result.openings == [6, 7, 22, 31]
     assert len(calls) == 1
 
 

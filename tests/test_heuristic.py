@@ -1,16 +1,19 @@
+import json
+import random
 import time
 
 import pytest
 
-from otsd import heuristic, n_minus_1_contingencies, oracle
+from otsd import graph_ops, heuristic, milp_model, n_minus_1_contingencies, oracle
 from otsd.backend import ScipyHighsBackend, Status
 from otsd.dc_engine import SecurityAnalyzer, SecurityReport, ViolationDetail
 from otsd.errors import EmptyReport
-from otsd.grid import Branch, Bus, Grid
-from otsd.heuristic import HeuristicParams, HeuristicState, expand_switchable, most_constraining
+from otsd.grid import Branch, Bus, ContingencySet, Grid, SwitchConfig
+from otsd.heuristic import (HeuristicParams, HeuristicState, expand_switchable, fewest_openings,
+                            most_constraining)
 from otsd.results import SolveStatus
 
-from conftest import load_grid, toy_grid
+from conftest import load_grid, random_connected_config, toy_grid
 
 
 def _report(details):
@@ -225,3 +228,122 @@ def test_global_time_limit_caps_inner_solves():
     t0 = time.monotonic()
     heuristic.solve(grid, cons, HeuristicParams(time_limit=5.0))
     assert time.monotonic() - t0 < 7.0
+
+
+def _milp_fewest(grid, config, working):
+    """``milp_model.remove_unnecessary_openings`` and the status of its program."""
+    backends = []
+
+    def factory():
+        backends.append(ScipyHighsBackend())
+        return backends[-1]
+
+    out = milp_model.remove_unnecessary_openings(grid, config, working, backend_factory=factory)
+    return out, backends[0].status
+
+
+def _removal_inputs():
+    """(grid, contingencies, plan, working set) inputs of the removal step.
+
+    The toy inputs of the MILP's own tests, random connected 30-bus plans,
+    and plans ``reduce_violations`` leaves with no residual on seeded random
+    working sets: one or two cases the all-closed screen flags plus up to
+    three others, switching within one or two hops of the branches the
+    flagged cases overload.
+    """
+    toy = toy_grid()
+    toy_cons = n_minus_1_contingencies(toy)
+    yield toy, toy_cons, SwitchConfig.all_closed(), [toy_cons.by_id(4)]
+    yield toy, toy_cons, SwitchConfig.with_open([3, 4]), [toy_cons.by_id(1), toy_cons.by_id(2)]
+    grid30 = load_grid("case30_ieee.m")
+    cons30 = n_minus_1_contingencies(grid30)
+    rng = random.Random(23)
+    for _ in range(3):
+        config = random_connected_config(grid30, rng, max_open=4)
+        yield grid30, cons30, config, [cons30.by_id(rng.choice(list(grid30.branch_ids())))]
+
+    for name, tlf, seed in (("case14_ieee.m", 1.0, 1), ("case30_ieee.m", 1.0, 2),
+                            ("case30_ieee.m", 0.9, 4), ("case57_ieee.m", 1.0, 3),
+                            ("case57_ieee.m", 0.9, 5)):
+        grid = load_grid(name, tlf=tlf)
+        cons = n_minus_1_contingencies(grid)
+        flagged = {cid: detail for cid, detail in SecurityAnalyzer(grid, cons).analyze(
+            SwitchConfig.all_closed()).violating_contingencies.items() if cid is not None}
+        rng = random.Random(seed)
+        for _ in range(4):
+            picked = rng.sample(sorted(flagged), min(len(flagged), rng.randint(1, 2)))
+            others = rng.sample([c.id for c in cons if c.id not in flagged], rng.randint(0, 3))
+            hops = rng.randint(1, 2)
+            switchable = set()
+            for cid in picked:
+                for e in flagged[cid].violated_branches:
+                    switchable |= graph_ops.hop(grid, e, hops)
+            working = [cons.by_id(cid) for cid in sorted(picked + others)]
+            rv = milp_model.reduce_violations(grid, working, switchable)
+            if rv.config is not None and not rv.residual:
+                yield grid, cons, rv.config, working
+
+
+def test_fewest_openings_matches_milp():
+    checked = 0
+    for grid, cons, config, working in _removal_inputs():
+        plan, report, screens = fewest_openings(SecurityAnalyzer(grid, cons), config, working)
+        assert plan.open_branches <= config.open_branches
+        assert 1 <= screens <= 2 ** config.n_open
+        fresh = SecurityAnalyzer(grid, ContingencySet(cases=tuple(working))).analyze(plan)
+        assert fresh.clean
+        assert report.total_objective == SecurityAnalyzer(grid, cons).analyze(plan).total_objective
+        out, status = _milp_fewest(grid, config, working)
+        if status is Status.OPTIMAL:
+            assert plan.n_open == out.n_open, (grid.name, sorted(config.open_branches))
+            checked += 1
+    assert checked >= 20
+
+
+def test_fewest_openings_holds_the_base_case_unnamed():
+    # a stiff direct branch carries 0.8 of the transfer over its 0.7 limit,
+    # so it must stay open although no contingency and no report names the base
+    buses = [Bus(1, 1.0, 0.0), Bus(2, 0.0, 0.0), Bus(3, 0.0, 1.0)]
+    branches = [Branch(1, 1, 3, 20.0, 0.7), Branch(2, 1, 2, 10.0, 2.0),
+                Branch(3, 2, 3, 10.0, 2.0)]
+    grid = Grid(buses, branches, reference_bus=1)
+    cons = n_minus_1_contingencies(grid, include_base_case=False)
+    working = [cons.by_id(1)]  # secure with branch 1 open or closed
+    analyzer = SecurityAnalyzer(grid, cons)
+    all_closed = analyzer.analyze(SwitchConfig.all_closed())
+    assert None not in all_closed.violating_contingencies
+    assert 1 not in all_closed.violating_contingencies
+    assert analyzer.contingency_state(SwitchConfig.all_closed(), None).flows[0] \
+        == pytest.approx(0.8)
+    opened = SwitchConfig.with_open([1])
+    plan, _, screens = fewest_openings(analyzer, opened, working)
+    assert plan == opened and screens == 2
+    out, status = _milp_fewest(grid, opened, working)
+    assert status is Status.OPTIMAL and out == opened
+
+
+def test_fewest_openings_past_deadline_returns_its_input():
+    grid = toy_grid()
+    cons = n_minus_1_contingencies(grid)
+    working = [cons.by_id(4)]  # secure on the all-closed grid
+    config = SwitchConfig.with_open([3])
+    analyzer = SecurityAnalyzer(grid, cons)
+    assert fewest_openings(analyzer, config, working)[0] == SwitchConfig.all_closed()
+    plan, report, _ = fewest_openings(analyzer, config, working, time.monotonic() - 1.0)
+    assert plan == config
+    assert report.total_objective == analyzer.analyze(config).total_objective
+
+
+def test_fewest_openings_breaks_ties_on_lowest_ids():
+    # 118@1.35: [32, 54] and [43, 54] are both clean at 2.99; the screen-
+    # based removal keeps the lowest branch ids among its minimum plans
+    grid = load_grid("case118_ieee.m", 1.35)
+    cons = n_minus_1_contingencies(grid)
+    first, second = heuristic.solve(grid, cons), heuristic.solve(grid, cons)
+    assert first.status is SolveStatus.FEASIBLE and first.openings == [32, 54]
+    document = lambda r: json.dumps([r.status.value, r.openings, r.objective, r.bound,
+                                     r.loss_of_load, r.iterations], sort_keys=True)
+    assert document(first) == document(second)
+    simplify = [e for e in first.iterations if e["phase"] == "simplify"]
+    assert simplify and simplify[-1]["openings_after"] == [32, 54]
+    assert set(simplify[-1]["openings_after"]) <= set(simplify[-1]["openings_before"])
