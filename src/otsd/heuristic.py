@@ -3,11 +3,25 @@
 Outer loop: security-analyze the incumbent, add the most constraining
 violating contingency to the working set. Inner loop: minimize overloads with
 switching restricted to hop neighborhoods of the monitored branches, growing
-those neighborhoods while residual violations persist. Openings that the
-working set does not need are then removed by screening: subsets of the
-reduced plan's openings are screened on the run's own analyzer, fewest
-first, and the first one that keeps the working cases and the base case
-within limits is the new incumbent. Its screen is the outer iteration's
+those neighborhoods while residual violations persist.
+
+Each inner iteration screens before it builds a program: the plans that open
+at most ``SCREENED_OPENINGS`` switchable branches go through the run's own
+analyzer, by size and then in lexicographic order of branch ids, and the
+first that overloads nothing in the base case and in every working case ends
+the inner loop. That is exact. The overload program's objective is a sum of
+non-negative slacks, so a plan with no overload is one of its optima; and
+every smaller subset of the switchable set was screened before it, so the
+removal step would return the plan unchanged and is skipped. The one
+caveat: the program bounds angle spreads by ``BigMConfig.delta_theta_max``
+and the screen does not, so the screen may accept a plan the program would
+cut off; the screen's verdict is the one every result is re-checked by.
+Only when the screen finds no such plan does the overload program run.
+
+Openings that the working set does not need are then removed by screening
+too: subsets of the reduced plan's openings are screened, fewest first, and
+the first one that keeps the working cases and the base case within limits
+is the new incumbent. Either search's screen is the outer iteration's
 security analysis.
 """
 
@@ -22,12 +36,17 @@ import numpy as np
 from . import graph_ops, milp_model
 from .backend import ScipyHighsBackend, Status
 from .dc_engine import SecurityAnalyzer, SecurityReport
-from .errors import EmptyReport
+from .errors import DisconnectedCase, EmptyReport
 from .grid import Contingency, ContingencySet, Grid, SwitchConfig
 from .milp_model import BASE_CASE
 from .results import SolveResult, SolveStatus
 
 INFEASIBLE = "infeasible"
+
+# openings the inner loop screens before it builds a program: plans of three
+# cost more than the program they would save (on 57@0.9, 834 screens and
+# 272 ms found none, where the program took 129 ms)
+SCREENED_OPENINGS = 2
 
 
 @dataclass(frozen=True)
@@ -117,39 +136,61 @@ def expand_switchable(grid: Grid, state: HeuristicState, params: HeuristicParams
     return None
 
 
+def first_secure_plan(analyzer: SecurityAnalyzer, candidates, largest: int,
+                      working: list[Contingency], deadline: float | None = None
+                      ) -> tuple[SwitchConfig | None, SecurityReport | None, int]:
+    """First plan opening at most ``largest`` of ``candidates`` that holds.
+
+    Plans are tried by size, then in lexicographic order of branch ids, and
+    the first whose base flows overload no branch and whose screen flags no
+    working case wins: a minimum-cardinality plan, with the lowest branch
+    ids among its ties. The base case is held to its limits whether or not
+    the contingency set names it, as the programs hold it. A plan that
+    disconnects the grid is skipped, and so is one whose base case
+    overloads, before its screen; ``analyze`` then only ever sees a
+    topology the base-case query has already built. Returns the plan, its
+    screen and the number of plans tried, with ``None`` for the plan and
+    the screen when none holds or when ``deadline`` (a ``time.monotonic``
+    instant) passes before a plan is tried.
+    """
+    ids = {c.id for c in working}
+    limit, tolerance = analyzer.grid.limit, analyzer.tolerance
+    candidates = sorted(candidates)
+    tried = 0
+    for size in range(min(largest, len(candidates)) + 1):
+        for subset in itertools.combinations(candidates, size):
+            if deadline is not None and time.monotonic() > deadline:
+                return None, None, tried
+            tried += 1
+            plan = SwitchConfig(frozenset(subset))
+            try:
+                base = analyzer.contingency_state(plan, None).flows
+            except DisconnectedCase:
+                continue
+            if np.any(np.abs(base) - limit > tolerance):
+                continue
+            report = analyzer.analyze(plan)
+            if ids.isdisjoint(report.violating_contingencies):
+                return plan, report, tried
+    return None, None, tried
+
+
 def fewest_openings(analyzer: SecurityAnalyzer, config: SwitchConfig,
                     working: list[Contingency], deadline: float | None = None
                     ) -> tuple[SwitchConfig, SecurityReport, int]:
     """Fewest of ``config``'s openings that keep the working cases secure.
 
-    Subsets of the openings are screened by size, then in lexicographic
-    order of branch ids, and the first whose screen flags no working case
-    and whose base flows overload no branch wins: a minimum-cardinality
-    plan, with the lowest branch ids among its ties. The base case is held
-    to its limits whether or not the contingency set names it, as the MILP
-    formulation (``milp_model.remove_unnecessary_openings``) holds it.
-    Re-closing branches of a connected plan keeps it connected, so every
-    subset screens. Returns the plan, its screen and the number of screens.
-    When ``deadline`` (a ``time.monotonic`` instant) passes before a screen,
-    the input plan is returned with its screen.
+    ``first_secure_plan`` over the openings of ``config``. Re-closing
+    branches of a connected plan keeps it connected, so every subset
+    screens. Returns the plan, its screen and the number of plans tried.
+    When none holds (the input itself fails, by screening dust) or the
+    deadline passes, the input plan is returned with its screen.
     """
-    ids = {c.id for c in working}
-    limit, tolerance = analyzer.grid.limit, analyzer.tolerance
-    opened = sorted(config.open_branches)
-    screens = 0
-    for size in range(len(opened) + 1):
-        for subset in itertools.combinations(opened, size):
-            screens += 1
-            if deadline is not None and time.monotonic() > deadline:
-                return config, analyzer.analyze(config), screens
-            plan = SwitchConfig(frozenset(subset))
-            report = analyzer.analyze(plan)
-            base = analyzer.contingency_state(plan, None).flows
-            if ids.isdisjoint(report.violating_contingencies) \
-                    and not np.any(np.abs(base) - limit > tolerance):
-                return plan, report, screens
-    # not even the input holds, by screening dust: it was screened last
-    return config, report, screens
+    plan, report, tried = first_secure_plan(analyzer, config.open_branches, config.n_open,
+                                            working, deadline)
+    if plan is None:
+        return config, analyzer.analyze(config), tried
+    return plan, report, tried
 
 
 def iteration_log(state: HeuristicState) -> list[dict]:
@@ -176,7 +217,14 @@ def solve(grid: Grid, contingencies: ContingencySet,
     """Run the full loop from the all-closed configuration.
 
     Returns a feasible configuration verified by a final security analysis,
-    or an infeasibility/timeout status. Hops grow only on the residual of an
+    or an infeasibility/timeout status. Each inner iteration first screens
+    the plans of at most ``SCREENED_OPENINGS`` switchable openings; the first
+    that clears the base case and the working cases ends the inner loop with
+    no program built, since zero overload is an optimum of the overload
+    program and no smaller plan holds (exact up to the program's angle
+    big-M, which the screen does not impose). The program runs only when
+    the screen finds nothing; a search cut short by the deadline finds
+    nothing, and the run ends in TIMEOUT. Hops grow only on the residual of an
     optimal subproblem; one stopped at a limit with residual overload ends
     the run in TIMEOUT. True infeasibility is only claimed when the hop
     ceiling saturates the line graph; otherwise the status says
@@ -233,6 +281,18 @@ def solve(grid: Grid, contingencies: ContingencySet,
         # inner loop: push overloads to zero on the working set
         while True:
             state.inner_iter += 1
+            t = time.monotonic()
+            vsol, report, screens = first_secure_plan(
+                analyzer, state.switchable, SCREENED_OPENINGS, state.working, deadline)
+            state.add_time("screen_search", time.monotonic() - t)
+            state.log.append({
+                "phase": "screen_search", "outer": state.outer_iter,
+                "inner": state.inner_iter, "n_working": len(state.working),
+                "n_switchable": len(state.switchable), "screens": screens,
+                "openings": None if vsol is None else sorted(vsol.open_branches),
+            })
+            if vsol is not None:
+                break
             if out_of_time():
                 return _result(SolveStatus.TIMEOUT, state)
             t = time.monotonic()
@@ -262,13 +322,19 @@ def solve(grid: Grid, contingencies: ContingencySet,
             if verdict == INFEASIBLE:
                 return _result(infeasible_status(rv.residual), state)
 
-        t = time.monotonic()
-        vsol, report, screens = fewest_openings(analyzer, rv.config, state.working, deadline)
-        state.add_time("simplify", time.monotonic() - t)
+        if vsol is None:
+            t = time.monotonic()
+            vsol, report, screens = fewest_openings(analyzer, rv.config, state.working,
+                                                    deadline)
+            state.add_time("simplify", time.monotonic() - t)
+            before = rv.config
+        else:
+            # every smaller subset of the switchable set was screened first
+            before, screens = vsol, 0
         state.incumbent = vsol
         state.log.append({
             "phase": "simplify", "outer": state.outer_iter,
-            "openings_before": sorted(rv.config.open_branches),
+            "openings_before": sorted(before.open_branches),
             "openings_after": sorted(vsol.open_branches), "screens": screens,
         })
 

@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -7,13 +9,13 @@ import pytest
 from otsd import graph_ops, heuristic, milp_model, n_minus_1_contingencies, oracle
 from otsd.backend import ScipyHighsBackend, Status
 from otsd.dc_engine import SecurityAnalyzer, SecurityReport, ViolationDetail
-from otsd.errors import EmptyReport
+from otsd.errors import DisconnectedCase, EmptyReport
 from otsd.grid import Branch, Bus, ContingencySet, Grid, SwitchConfig
 from otsd.heuristic import (HeuristicParams, HeuristicState, expand_switchable, fewest_openings,
                             most_constraining)
 from otsd.results import SolveStatus
 
-from conftest import load_grid, random_connected_config, toy_grid
+from conftest import load_grid, pinch_grid, random_connected_config, toy_grid
 
 
 def _report(details):
@@ -242,26 +244,13 @@ def _milp_fewest(grid, config, working):
     return out, backends[0].status
 
 
-def _removal_inputs():
-    """(grid, contingencies, plan, working set) inputs of the removal step.
-
-    The toy inputs of the MILP's own tests, random connected 30-bus plans,
-    and plans ``reduce_violations`` leaves with no residual on seeded random
-    working sets: one or two cases the all-closed screen flags plus up to
-    three others, switching within one or two hops of the branches the
-    flagged cases overload.
-    """
-    toy = toy_grid()
-    toy_cons = n_minus_1_contingencies(toy)
-    yield toy, toy_cons, SwitchConfig.all_closed(), [toy_cons.by_id(4)]
-    yield toy, toy_cons, SwitchConfig.with_open([3, 4]), [toy_cons.by_id(1), toy_cons.by_id(2)]
-    grid30 = load_grid("case30_ieee.m")
-    cons30 = n_minus_1_contingencies(grid30)
-    rng = random.Random(23)
-    for _ in range(3):
-        config = random_connected_config(grid30, rng, max_open=4)
-        yield grid30, cons30, config, [cons30.by_id(rng.choice(list(grid30.branch_ids())))]
-
+@functools.cache
+def _random_working_sets():
+    """(grid, contingencies, working set, switchable set, ``reduce_violations``
+    result) on seeded random working sets: one or two cases the all-closed
+    screen flags plus up to three others, switching within one or two hops
+    of the branches the flagged cases overload."""
+    out = []
     for name, tlf, seed in (("case14_ieee.m", 1.0, 1), ("case30_ieee.m", 1.0, 2),
                             ("case30_ieee.m", 0.9, 4), ("case57_ieee.m", 1.0, 3),
                             ("case57_ieee.m", 0.9, 5)):
@@ -279,9 +268,31 @@ def _removal_inputs():
                 for e in flagged[cid].violated_branches:
                     switchable |= graph_ops.hop(grid, e, hops)
             working = [cons.by_id(cid) for cid in sorted(picked + others)]
-            rv = milp_model.reduce_violations(grid, working, switchable)
-            if rv.config is not None and not rv.residual:
-                yield grid, cons, rv.config, working
+            out.append((grid, cons, working, frozenset(switchable),
+                        milp_model.reduce_violations(grid, working, switchable)))
+    return out
+
+
+def _removal_inputs():
+    """(grid, contingencies, plan, working set) inputs of the removal step.
+
+    The toy inputs of the MILP's own tests, random connected 30-bus plans,
+    and plans ``reduce_violations`` leaves with no residual on the seeded
+    random working sets of ``_random_working_sets``.
+    """
+    toy = toy_grid()
+    toy_cons = n_minus_1_contingencies(toy)
+    yield toy, toy_cons, SwitchConfig.all_closed(), [toy_cons.by_id(4)]
+    yield toy, toy_cons, SwitchConfig.with_open([3, 4]), [toy_cons.by_id(1), toy_cons.by_id(2)]
+    grid30 = load_grid("case30_ieee.m")
+    cons30 = n_minus_1_contingencies(grid30)
+    rng = random.Random(23)
+    for _ in range(3):
+        config = random_connected_config(grid30, rng, max_open=4)
+        yield grid30, cons30, config, [cons30.by_id(rng.choice(list(grid30.branch_ids())))]
+    for grid, cons, working, _, rv in _random_working_sets():
+        if rv.config is not None and not rv.residual:
+            yield grid, cons, rv.config, working
 
 
 def test_fewest_openings_matches_milp():
@@ -347,3 +358,154 @@ def test_fewest_openings_breaks_ties_on_lowest_ids():
     simplify = [e for e in first.iterations if e["phase"] == "simplify"]
     assert simplify and simplify[-1]["openings_after"] == [32, 54]
     assert set(simplify[-1]["openings_after"]) <= set(simplify[-1]["openings_before"])
+
+
+def _inner_inputs(monkeypatch, instances):
+    """(grid, contingencies, working set, switchable set) of every inner
+    iteration of ``heuristic.solve`` on the named instances: the inputs of
+    its screen search, and of the overload program when that runs."""
+    search = heuristic.first_secure_plan
+    calls = []
+
+    def recording(analyzer, candidates, largest, working, deadline=None):
+        if sys._getframe(1).f_code is heuristic.solve.__code__:
+            calls.append((analyzer.grid, analyzer.contingencies, list(working),
+                          frozenset(candidates)))
+        return search(analyzer, candidates, largest, working, deadline)
+
+    monkeypatch.setattr(heuristic, "first_secure_plan", recording)
+    for name, tlf in instances:
+        grid = load_grid(name, tlf)
+        heuristic.solve(grid, n_minus_1_contingencies(grid))
+    monkeypatch.undo()
+    return calls
+
+
+def test_screen_search_is_exact_against_the_overload_program(monkeypatch):
+    # a plan of at most two openings that clears the working cases is an
+    # optimum of the overload program, and the fewest openings of any plan
+    # the program leaves clean; when none exists, no clean plan has fewer
+    # than three openings
+    inputs = _inner_inputs(monkeypatch, [
+        ("case14_ieee.m", 1.0), ("case57_ieee.m", 1.0), ("case57_ieee.m", 0.9),
+        ("case24_ieee_rts.m", 0.9), ("case118_ieee.m", 1.35)])
+    assert len(inputs) >= 8
+    inputs += [(grid, cons, working, switchable)
+               for grid, cons, working, switchable, _ in _random_working_sets()]
+    found = missed = 0
+    for grid, cons, working, switchable in inputs:
+        analyzer = SecurityAnalyzer(grid, cons)
+        plan, report, tried = heuristic.first_secure_plan(
+            analyzer, switchable, heuristic.SCREENED_OPENINGS, working)
+        rv = milp_model.reduce_violations(grid, working, switchable)
+        if plan is not None:
+            found += 1
+            assert plan.n_open <= heuristic.SCREENED_OPENINGS
+            assert plan.open_branches <= switchable
+            assert rv.status is Status.OPTIMAL and not rv.residual, grid.name
+            assert fewest_openings(analyzer, rv.config, working)[0].n_open >= plan.n_open
+            assert report.total_objective == SecurityAnalyzer(grid, cons).analyze(
+                plan).total_objective
+        elif rv.config is not None and not rv.residual:
+            missed += 1
+            assert fewest_openings(analyzer, rv.config, working)[0].n_open >= 3, grid.name
+    assert found >= 10 and missed >= 2
+
+
+def test_heuristic_never_raises_inside_analyze(monkeypatch):
+    # the search skips a disconnecting plan on its base-case query, so a
+    # screen only ever runs on a topology already built: a raising analyze
+    # would leave a tracer's span without its note
+    analyze, state = SecurityAnalyzer.analyze, SecurityAnalyzer.contingency_state
+    raised, disconnected = [], []
+
+    def guarded(self, config):
+        try:
+            return analyze(self, config)
+        except Exception as exc:
+            raised.append((sorted(config.open_branches), exc))
+            raise
+
+    def counting(self, config, contingency):
+        try:
+            return state(self, config, contingency)
+        except DisconnectedCase:
+            disconnected.append(sorted(config.open_branches))
+            raise
+
+    monkeypatch.setattr(SecurityAnalyzer, "analyze", guarded)
+    monkeypatch.setattr(SecurityAnalyzer, "contingency_state", counting)
+    for grid in (load_grid("case57_ieee.m", 0.9), pinch_grid()):
+        res = heuristic.solve(grid, n_minus_1_contingencies(grid))
+        assert res.status in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
+        assert disconnected, grid.name
+        disconnected.clear()
+    assert raised == []
+
+
+@pytest.mark.parametrize("name, tlf, openings", [
+    ("case57_ieee.m", 1.2, [5]),
+    ("case118_ieee.m", 1.4, [104]),
+    ("case118_ieee.m", 1.35, [32, 54]),
+    ("case57_ieee.m", 0.9, [6, 7, 22, 31]),
+])
+def test_heuristic_plans_are_byte_stable(name, tlf, openings):
+    grid = load_grid(name, tlf)
+    cons = n_minus_1_contingencies(grid)
+    first, second = heuristic.solve(grid, cons), heuristic.solve(grid, cons)
+    document = lambda r: json.dumps([r.status.value, r.openings, r.objective, r.bound,
+                                     r.loss_of_load, r.iterations], sort_keys=True)
+    assert document(first) == document(second)
+    assert first.status is SolveStatus.FEASIBLE and first.openings == openings
+    if (name, tlf) == ("case57_ieee.m", 1.2):
+        # one opening meets the structural risk: provably optimal
+        assert first.objective == first.bound
+
+
+def test_iteration_log_names_each_screen_search():
+    # 24@0.9: the first search finds nothing and the program leaves a
+    # residual, so the hops grow; the second search finds [14], which ends
+    # the inner loop with no second program and no removal screens
+    grid = load_grid("case24_ieee_rts.m", 0.9)
+    res = heuristic.solve(grid, n_minus_1_contingencies(grid))
+    searches = [e for e in res.iterations if e["phase"] == "screen_search"]
+    programs = {(e["outer"], e["inner"]) for e in res.iterations
+                if e["phase"] == "reduce_violations"}
+    assert [e["openings"] for e in searches] == [None, [14]]
+    for e in searches:
+        assert set(e) == {"phase", "outer", "inner", "n_working", "n_switchable",
+                          "screens", "openings"}
+        assert e["screens"] >= 1
+        assert ((e["outer"], e["inner"]) in programs) == (e["openings"] is None)
+    assert len(programs) == 1
+    simplify = [e for e in res.iterations if e["phase"] == "simplify"]
+    assert simplify == [{"phase": "simplify", "outer": 1, "openings_before": [14],
+                         "openings_after": [14], "screens": 0}]
+    analyses = [e for e in res.iterations if e["phase"] == "security_analysis"]
+    assert all(set(e) == {"phase", "outer", "n_working", "n_switchable", "n_violating",
+                          "openings", "objective"} for e in analyses)
+
+
+def test_generation_behind_a_bridge_from_the_reference():
+    # the reference bus and bus 2 carry 0.5 load each and are joined by two
+    # parallel branches; the only generator sits on bus 3, behind the bridge
+    # 2-3. Its trip leaves the reference's area with load and no generation,
+    # which the screen prices as the loss of all load; the all-closed grid is
+    # otherwise secure, so both solvers return it at objective 1.0
+    buses = [Bus(1, 0.0, 0.5), Bus(2, 0.0, 0.5), Bus(3, 1.0, 0.0)]
+    branches = [Branch(1, 1, 2, 10.0, 5.0), Branch(2, 1, 2, 10.0, 5.0),
+                Branch(3, 2, 3, 10.0, 5.0)]
+    grid = Grid(buses, branches, reference_bus=1, name="bridged-generator")
+    cons = n_minus_1_contingencies(grid)
+    res = heuristic.solve(grid, cons)
+    assert res.status is SolveStatus.FEASIBLE and res.openings == []
+    assert res.objective == pytest.approx(1.0)
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("extensive program built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp_model, "build_base_case", no_program)
+        ext = milp_model.solve_extensive(grid, cons)
+    assert ext.status is SolveStatus.OPTIMAL and ext.openings == []
+    assert ext.objective == pytest.approx(1.0) and ext.bound == pytest.approx(1.0)
