@@ -14,12 +14,15 @@ which is +-1 behind the bridge and 0 on the reference side. A trip of more
 than one closed branch takes the general path: label the post-trip
 components, rebalance, then solve the DC power flow of the post-trip
 topology. The structural risk is the screen of the all-closed grid.
+
+The same updates, batched over many plans and a few single-branch trips,
+filter candidate plans (``SecurityAnalyzer.may_hold``) before any is screened.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,11 @@ DEFAULT_TOLERANCE = 1e-6
 
 # key used for the base (no-contingency) pseudo-case in reports
 BASE_CASE = None
+
+# overload beyond the tolerance that ``SecurityAnalyzer.may_hold`` needs to
+# reject a plan: orders of magnitude above the float dust between its flows
+# and the screen's
+_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -393,6 +401,80 @@ class SecurityAnalyzer:
             sigma=float(trips.sigma[0]), loss_of_load=float(trips.loss[0]),
             flows=trips.post[:, 0], de_energized=self._de_energized(trips.on[:, 0]),
             unbalanceable=not trips.balanced[0])
+
+    def _plan_flows(self, plans: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flows of each plan (a row of branch indexes it opens from the
+        all-closed grid) in its base case and after each single-branch trip
+        ``ks[j]``, plan x branch x (1 + trip), base first; and whether each
+        plan keeps the grid whole, without which its flows mean nothing.
+
+        Each plan is the generalized LODF update of the all-closed grid, one
+        s x s system for s openings, and each trip is then taken as
+        ``analyze`` takes it: an LODF update of the plan's base flows when
+        the grid stays whole, the plan's PTDF times the rebalanced
+        injections when the trip is a bridge, the base flows when the
+        branch is already open.
+        """
+        grid, closed = self.grid, self._closed
+        n_plans, s = plans.shape
+        cols, at = np.arange(len(ks)), np.arange(n_plans)[:, None]
+        m0, ptdf0, f0 = self._m0, closed.ptdf, closed.flows
+
+        # det(I - M0[S, S]) is the share of the all-closed grid's weighted
+        # spanning trees that survive the openings S: zero when they split it
+        a = np.eye(s) - m0[plans[:, :, None], plans[:, None, :]]
+        whole = np.linalg.det(a) >= 1e-9
+        a[~whole] = np.eye(s)
+        inv = np.linalg.inv(a)
+        m0s = m0[:, plans].transpose(1, 0, 2)  # plan x branch x opening
+        # each plan's base flows and the outage columns of the tripped branches
+        y = m0s @ (inv @ np.concatenate([f0[plans][:, :, None], m0[plans[:, :, None], ks]], 2))
+        y += np.column_stack([f0, m0[:, ks]])
+        y[at, plans] = 0.0
+        f, m = y[:, :, 0], y[:, :, 1:]
+
+        flows = np.empty((n_plans, grid.n_branches, 1 + len(ks)))
+        flows[:, :, 0] = f
+        self_sens = m[:, ks, cols]
+        opened = (plans[:, :, None] == ks).any(axis=1)  # plan x trip
+        bridge = (1.0 - self_sens < 1e-9) & ~opened
+        lodf = ~bridge & ~opened
+        ratio = np.where(lodf, f[:, ks], 0.0) / np.where(lodf, 1.0 - self_sens, 1.0)
+        flows[:, :, 1:] = f[:, :, None] + m * ratio[:, None, :]
+        flows[:, ks, cols + 1] = 0.0
+
+        # a bridge's PTDF row on the plan is +-1 behind it: that island blacks
+        # out, and the plan's PTDF times the rebalanced injections is the flow
+        p, j = np.nonzero(bridge)
+        if p.size:
+            k, opens, rows = ks[j], plans[p], np.arange(len(p))[:, None]
+            row = ptdf0[k] + np.einsum("bs,bst,btn->bn", m0[k[:, None], opens], inv[p],
+                                       ptdf0[opens])
+            on = np.abs(row) < 0.5
+            sigma, _, balanced = _rescale(grid, on.T)
+            q = np.where(on & balanced[:, None], sigma[:, None] * grid.pg - grid.pd, 0.0) @ ptdf0.T
+            post = q + np.einsum("bns,bst,bt->bn", m0s[p], inv[p], q[rows, opens])
+            post[rows, opens] = 0.0
+            post[rows[:, 0], k] = 0.0
+            flows[p, :, j + 1] = post
+        return whole, flows
+
+    def may_hold(self, plans: np.ndarray, cases: Sequence[Contingency]) -> np.ndarray:
+        """Whether each plan may keep its base case and ``cases`` within limits.
+
+        ``plans`` holds P rows of s branch indexes, each row the branches
+        one plan opens from the all-closed grid. A plan is rejected only
+        where a flow exceeds its limit by more than the tolerance plus
+        ``_MARGIN``, so ``analyze`` would flag it too. A plan that splits
+        the grid (its update is singular) is never rejected, and a case that
+        trips several branches never rejects one: both are left to the exact
+        path.
+        """
+        ks = np.array([self.grid.branch_index(e) for t in (c.tripped & self._all for c in cases)
+                       if len(t) == 1 for e in t], dtype=int)
+        whole, flows = self._plan_flows(np.asarray(plans, dtype=int), ks)
+        over = np.abs(flows) - self.grid.limit[:, None] > self.tolerance + _MARGIN
+        return ~whole | ~over.any(axis=(1, 2))
 
     def contingency_state(self, config: SwitchConfig,
                           contingency: Contingency | None) -> ContingencyState:

@@ -415,3 +415,49 @@ def test_two_branch_trips_against_independent_checks(grid30):
             0.5 * sum(expected_loss.values()), abs=1e-9)
         assert set(report.violating_contingencies) - {None} == violating
     assert stranded > 0
+
+
+@pytest.mark.parametrize("name, tlf, bridges", [("case30_ieee.m", 1.0, ()),
+                                                ("case57_ieee.m", 0.9, ()),
+                                                ("case118_ieee.m", 1.35, (7, 9))])
+def test_plan_filter_is_sound(name, tlf, bridges):
+    # the batched plan update against contingency_state on random plans of 1
+    # to 3 openings: equal flows up to float dust, in the base case, after
+    # bridge trips and after trips of opened branches; a plan the filter
+    # rejects fails the exact screen, and a disconnecting plan always passes
+    grid = load_grid(name, tlf)
+    cons = n_minus_1_contingencies(grid)
+    analyzer = SecurityAnalyzer(grid, cons)
+    rng = random.Random(17)
+    ids = list(grid.branch_ids())
+    worst = 0.0
+    seen = dict(rejected=0, disconnected=0, bridge=0, opened=0)
+    for _ in range(12):
+        working = [cons.by_id(cid) for cid in bridges + tuple(rng.sample(ids, 3))]
+        # openings drawn among the tripped branches and a few others, so that
+        # plans often open a tripped branch
+        pool = sorted({e for c in working for e in c.tripped} | set(rng.sample(ids, 6)))
+        ks = np.array([grid.branch_index(next(iter(c.tripped))) for c in working])
+        for size in (1, 2, 3):
+            batch = [tuple(sorted(rng.sample(pool, size))) for _ in range(5)]
+            opens = np.array([[grid.branch_index(e) for e in plan] for plan in batch])
+            held = analyzer.may_hold(opens, working)
+            whole, flows = analyzer._plan_flows(opens, ks)
+            for n, plan in enumerate(batch):
+                config = SwitchConfig.with_open(plan)
+                try:
+                    states = [analyzer.contingency_state(config, c) for c in [None, *working]]
+                except DisconnectedCase:
+                    seen["disconnected"] += 1
+                    assert held[n] and not whole[n], plan
+                    continue
+                assert whole[n], plan
+                exact = np.column_stack([s.flows for s in states])
+                worst = max(worst, float(np.abs(flows[n] - exact).max()))
+                seen["bridge"] += sum(bool(s.de_energized) for s in states)
+                seen["opened"] += sum(bool(c.tripped & set(plan)) for c in working)
+                if not held[n]:
+                    seen["rejected"] += 1
+                    assert np.any(np.abs(exact) - grid.limit[:, None] > analyzer.tolerance)
+    assert worst < dc_engine._MARGIN * 1e-3, worst
+    assert all(seen.values()), seen

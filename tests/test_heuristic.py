@@ -1,9 +1,11 @@
 import functools
+import itertools
 import json
 import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from otsd import graph_ops, heuristic, milp_model, n_minus_1_contingencies, oracle
@@ -410,6 +412,77 @@ def test_screen_search_is_exact_against_the_overload_program(monkeypatch):
             missed += 1
             assert fewest_openings(analyzer, rv.config, working)[0].n_open >= 3, grid.name
     assert found >= 10 and missed >= 2
+
+
+def _serial_search(analyzer, candidates, largest, working):
+    """``first_secure_plan`` one plan at a time, with no filter: the
+    base-case query, then the screen, on every plan in order."""
+    ids = {c.id for c in working}
+    tried = 0
+    for size in range(min(largest, len(candidates)) + 1):
+        for subset in itertools.combinations(sorted(candidates), size):
+            tried += 1
+            plan = SwitchConfig(frozenset(subset))
+            try:
+                base = analyzer.contingency_state(plan, None).flows
+            except DisconnectedCase:
+                continue
+            if np.any(np.abs(base) - analyzer.grid.limit > analyzer.tolerance):
+                continue
+            report = analyzer.analyze(plan)
+            if ids.isdisjoint(report.violating_contingencies):
+                return plan, report, tried
+    return None, None, tried
+
+
+def test_batched_search_matches_serial_search(monkeypatch):
+    # the filter only drops plans the screen would fail, so the batched
+    # search returns the serial search's plan, screen and count of plans
+    # tried: on every inner search of five instances, on the random working
+    # sets, and in the removal step
+    inputs = [(grid, cons, working, switchable, heuristic.SCREENED_OPENINGS)
+              for grid, cons, working, switchable in _inner_inputs(monkeypatch, [
+                  ("case14_ieee.m", 1.0), ("case57_ieee.m", 1.0), ("case57_ieee.m", 0.9),
+                  ("case24_ieee_rts.m", 0.9), ("case118_ieee.m", 1.35)])]
+    inputs += [(grid, cons, working, switchable, heuristic.SCREENED_OPENINGS)
+               for grid, cons, working, switchable, _ in _random_working_sets()]
+    found = 0
+    for grid, cons, working, candidates, largest in inputs:
+        plan, report, tried = heuristic.first_secure_plan(
+            SecurityAnalyzer(grid, cons), candidates, largest, working)
+        want, screen, serial = _serial_search(SecurityAnalyzer(grid, cons), candidates,
+                                              largest, working)
+        assert (plan, tried) == (want, serial), grid.name
+        if want is not None:
+            found += 1
+            assert report.total_objective == screen.total_objective
+    removals = 0
+    for grid, cons, config, working in _removal_inputs():
+        plan, report, tried = fewest_openings(SecurityAnalyzer(grid, cons), config, working)
+        want, screen, serial = _serial_search(SecurityAnalyzer(grid, cons),
+                                              config.open_branches, config.n_open, working)
+        assert (plan, tried) == (want or config, serial), grid.name
+        assert report.total_objective == (
+            screen or SecurityAnalyzer(grid, cons).analyze(config)).total_objective
+        removals += 1
+    assert found >= 10 and len(inputs) - found >= 2 and removals >= 20
+
+
+@pytest.mark.parametrize("name, tlf", [("case118_ieee.m", 1.35), ("case57_ieee.m", 1.0)])
+def test_heuristic_screens_only_the_plans_the_filter_passes(monkeypatch, name, tlf):
+    # one screen of the all-closed grid and one of the plan the search
+    # returns: every plan before it fails the filter
+    analyze, calls = SecurityAnalyzer.analyze, []
+
+    def counting(self, config):
+        calls.append(sorted(config.open_branches))
+        return analyze(self, config)
+
+    monkeypatch.setattr(SecurityAnalyzer, "analyze", counting)
+    grid = load_grid(name, tlf)
+    res = heuristic.solve(grid, n_minus_1_contingencies(grid))
+    assert res.status is SolveStatus.FEASIBLE
+    assert len(calls) <= 2 and calls[-1] == res.openings
 
 
 def test_heuristic_never_raises_inside_analyze(monkeypatch):
